@@ -11,13 +11,11 @@ import numpy as np
 
 __all__ = [
     "dag",
-    "hs_inner",
     "op_norm",
     "hermiticity_defect",
     "nullspace",
     "orthonormalize_rows",
     "haar_unitary",
-    "random_hermitian",
     "hermitian_basis",
     "kron_all",
     "cluster_eigenvalues",
@@ -29,11 +27,6 @@ __all__ = [
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dag b)."""
-    return complex(np.sum(a.conj() * b))
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -85,11 +78,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (z + dag(z)) / 2.0
 
 
 def hermitian_basis(d: int) -> np.ndarray:

@@ -254,7 +254,10 @@ def cmd_verify(args) -> int:
     rows = []
     for n in n_list:
         if p.d**n > args.ed_cap:
+            # An unchecked length is not a pass.
+            all_ok = False
             rows.append({"N": n, "skipped": f"d^N exceeds ed cap {args.ed_cap}"})
+            sys.stderr.write(f"N={n}: d^N = {p.d**n} exceeds ed cap {args.ed_cap} -> SKIPPED\n")
             continue
         spec = integer_spectrum(build_chain(p, n, cap=args.ed_cap))
         census = spectral_census(t, n)

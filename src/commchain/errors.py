@@ -17,10 +17,6 @@ class InvalidSpec(CommchainError):
     """Synthesis specification fails dimension bookkeeping."""
 
 
-class NotCommuting(CommchainError):
-    """The chain built from the term is not commuting."""
-
-
 class DecompositionFailed(CommchainError):
     """Site decomposition postconditions could not be met."""
 

@@ -102,25 +102,29 @@ def enumerate_cycles(
     out: list[tuple[int, ...]] = []
     truncated = False
 
-    def walk(start: int, seq: list[int]) -> bool:
-        if len(seq) == n:
-            if g.M[seq[-1], start] > 0:
-                if len(out) >= cap:
-                    return True
-                out.append(tuple(seq))
-            return False
-        for nxt in adj[seq[-1]]:
-            if walk(start, seq + [nxt]):
-                return True
-        return False
-
     for v in range(nv):
         if n == 1:
             if g.M[v, v] > 0:
                 out.append((v,))
             continue
-        if walk(v, [v]):
-            truncated = True
+        # Depth-first over walks from v, in adjacency order; stack[i] holds
+        # the successors of seq[i] not yet tried.
+        seq = [v]
+        stack = [iter(adj[v])]
+        while stack and not truncated:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                seq.pop()
+            elif len(seq) + 1 < n:
+                seq.append(nxt)
+                stack.append(iter(adj[nxt]))
+            elif g.M[nxt, v] > 0:
+                if len(out) >= cap:
+                    truncated = True
+                else:
+                    out.append((*seq, nxt))
+        if truncated:
             break
     return out, truncated
 

@@ -106,7 +106,7 @@ def _is_partial(blocks, kd, a, b):
 
 
 def _side_generates_full_algebra(s: int, contributions: list[tuple[int, int]]) -> bool:
-    """contributions: (opposite factor dim, kernel dim) per partial edge."""
+    """contributions: (opposite factor dim, smaller eigenspace dim) per partial edge."""
     if s < 2:
         return True
     if sum(o * k for o, k in contributions) < s:
@@ -114,18 +114,24 @@ def _side_generates_full_algebra(s: int, contributions: list[tuple[int, int]]) -
     return len(contributions) >= 2 or any(o >= 2 for o, _ in contributions)
 
 
+def _smaller_eigenspace(blocks, kd, a, b) -> int:
+    """min(k, f - k) for the bond a -> b of kernel dim k and full dim f."""
+    k = kd[a][b]
+    return min(k, _full_dim(blocks, a, b) - k)
+
+
 def identifiable(blocks, kd) -> bool:
     nb = len(blocks)
     for a, (l, r) in enumerate(blocks):
         out = [
-            (blocks[b][0], kd[a][b])
+            (blocks[b][0], _smaller_eigenspace(blocks, kd, a, b))
             for b in range(nb)
             if _is_partial(blocks, kd, a, b)
         ]
         if not _side_generates_full_algebra(r, out):
             return False
         inc = [
-            (blocks[b][1], kd[b][a])
+            (blocks[b][1], _smaller_eigenspace(blocks, kd, b, a))
             for b in range(nb)
             if _is_partial(blocks, kd, b, a)
         ]

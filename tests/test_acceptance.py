@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, printing one PASS line each.
 
 Run `pytest -s tests/test_acceptance.py -v` to see the criterion table.
-Criterion 3 performs the full census-versus-dense-spectrum sweep over the
-50-model corpus and all builtins and is the slow one (a few minutes on a
-single core).
+Criterion 3 performs the full census-versus-spectrum sweep over the
+50-model corpus and all builtins and is the slow one (about 20 s on two
+cores).
 """
 
 import json

@@ -110,6 +110,37 @@ def test_verify_ising(capsys):
     assert doc["all_pass"] is True
 
 
+def test_verify_all_skipped_is_not_a_pass(capsys):
+    code = main(["verify", "--model", "ising", "--N", "13"])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["all_pass"] is False
+    assert doc["verify"] == [{"N": 13, "skipped": "d^N exceeds ed cap 4096"}]
+    assert "N=13" in captured.err and "SKIPPED" in captured.err
+
+
+def test_verify_partly_skipped_is_not_a_pass(capsys):
+    code = main(["verify", "--model", "ising", "--N", "2,13"])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["all_pass"] is False
+    assert doc["verify"][0]["census_match"] and doc["verify"][0]["degeneracy_match"]
+    assert "skipped" in doc["verify"][1]
+    assert "N=2" in captured.err and "PASS" in captured.err
+    assert "N=13" in captured.err and "SKIPPED" in captured.err
+
+
+def test_ground_long_chain_truncates(capsys):
+    code, out = run_cli(capsys, ["ground", "--model", "fig2", "--N", "1200", "--cap", "2"])
+    assert code == 0
+    row = json.loads(out)["ground_states"]["1200"]
+    assert row["truncated"] is True
+    assert 1 <= len(row["states"]) <= 2
+    assert all(len(state["cycle"]) == 1200 for state in row["states"])
+
+
 def test_zero_model_parsing(capsys):
     code, out = run_cli(capsys, ["degeneracy", "--model", "zero(3)", "--N", "2"])
     assert code == 0

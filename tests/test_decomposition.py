@@ -13,7 +13,10 @@ from commchain.decomposition import (
     generate_algebra,
 )
 from commchain.errors import DecompositionFailed
-from commchain.operators import ProjectorTerm, operator_schmidt
+from commchain.graph import extract_bond_projectors, reconstruct_term
+from commchain.operators import ProjectorTerm, operator_schmidt, synthesize_local_term
+
+from conftest import identifiable
 
 SX = models.SIGMA_X
 SZ = models.SIGMA_Z
@@ -112,6 +115,31 @@ def test_decompose_fig2_bell_blocks(fig2):
 def test_decompose_zero_term():
     dec = decompose_site(models.zero(3))
     assert dec.block_dims == [(1, 3)]
+
+
+# Specs that fail the corpus identifiability rule (a partial bond of kernel
+# dim k and full dim f carries only opposite_dim * min(k, f - k) random
+# component vectors): the library correctly returns the finer blocks.
+@pytest.mark.parametrize(
+    "blocks,kdims,seed,finer",
+    [
+        ([(2, 3)], [[5]], 881738886, [(2, 1), (2, 2)]),
+        (
+            [(1, 2), (1, 1), (3, 1)],
+            [[2, 0, 5], [0, 0, 3], [1, 0, 3]],
+            1911487024,
+            [(1, 1), (1, 1), (1, 2), (2, 1)],
+        ),
+    ],
+)
+def test_unidentifiable_spec_decomposes_finer(blocks, kdims, seed, finer):
+    assert not identifiable(blocks, kdims)
+    p = synthesize_local_term(blocks, kdims, seed)
+    dec = decompose_site(p)
+    assert sorted(dec.block_dims) == sorted(finer)
+    assert dec.completeness_defect() < 1e-10
+    bonds = extract_bond_projectors(p, dec)
+    assert np.linalg.norm(reconstruct_term(dec, bonds) - p.op) < 1e-8
 
 
 def test_decompose_identity_term():

@@ -1,4 +1,4 @@
-"""Tests for the dense diagonalization oracle itself."""
+"""Tests for the diagonalization oracle itself, against full-matrix references."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from commchain import models
 from commchain._linalg import haar_unitary
 from commchain.ed import (
+    _build_defects,
     apply_sitewise,
     build_chain,
     integer_spectrum,
@@ -13,9 +14,42 @@ from commchain.ed import (
     same_subspace,
 )
 from commchain.errors import NonIntegerSpectrum, TooLarge
-from commchain.operators import ProjectorTerm
+from commchain.operators import ProjectorTerm, synthesize_local_term
 
 from commchain.canonical import canonical_hamiltonian
+
+
+def dense_spectrum(matrix: np.ndarray) -> dict[int, int]:
+    """Rounded eigenvalue multiplicities of the full matrix: the reference."""
+    out: dict[int, int] = {}
+    for v in np.rint(np.linalg.eigvalsh(matrix)).astype(int):
+        out[int(v)] = out.get(int(v), 0) + 1
+    return out
+
+
+def kron_chain(op: np.ndarray, d: int, n: int) -> np.ndarray:
+    """sum_j P_{j,j+1} by a kron with the identity and tensor transposes."""
+    size = d**n
+    base = (np.kron(op, np.eye(d ** (n - 2))) if n > 2 else op).reshape((d,) * (2 * n))
+    h = np.zeros((size, size), dtype=complex)
+    for j in range(n):
+        # slot k of ``base`` sits on ring site (j + k) % n
+        perm = list(np.argsort([(j + k) % n for k in range(n)]))
+        h += base.transpose(perm + [n + q for q in perm]).reshape(size, size)
+    return h
+
+
+def synthesized_terms():
+    """Complex synthesized commuting terms at d = 3..6."""
+    specs = [
+        ([(1, 1), (1, 2)], [[1, 1], [0, 1]]),
+        ([(1, 2), (2, 1)], [[1, 2], [0, 1]]),
+        ([(1, 1), (2, 2)], [[1, 1], [0, 2]]),
+        ([(1, 2), (1, 1), (3, 1)], [[1, 1, 2], [0, 1, 1], [0, 0, 1]]),
+    ]
+    return [
+        (f"synth_d{sum(l * r for l, r in b)}", synthesize_local_term(b, kd, 11)) for b, kd in specs
+    ]
 
 
 def test_build_chain_ising_n2():
@@ -48,6 +82,20 @@ def test_build_chain_translation_covariance():
     digits = [(idx // d ** (n - 1 - k)) % d for k in range(n)]
     rot = sum(digits[(k - 1) % n] * d ** (n - 1 - k) for k in range(n))
     assert np.max(np.abs(ch.matrix[np.ix_(rot, rot)] - ch.matrix)) < 1e-12
+
+
+def test_build_defects_flag_broken_matrices():
+    h = build_chain(models.fig2(), 5).matrix  # 1024 x 1024: two tiles a side
+    assert max(_build_defects(h, 4)) < 1e-12
+    shifted = h.copy()
+    shifted[601, 902] += 1e-6  # neither row has 0 as its first or last site digit
+    shifted[902, 601] += 1e-6
+    shift, herm = _build_defects(shifted, 4)
+    assert shift >= 1e-6 and herm < 1e-12
+    for i, j in ((1, 0), (1000, 0)):  # inside a diagonal tile, then an off-diagonal one
+        skewed = h.copy()
+        skewed[i, j] += 1e-6
+        assert _build_defects(skewed, 4)[1] >= 1e-6
 
 
 def test_build_chain_too_large():
@@ -105,3 +153,45 @@ def test_apply_sitewise_matches_kron():
 def test_chain_requires_two_sites():
     with pytest.raises(ValueError):
         build_chain(models.ising(), 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("name", ["ising", "fig2", "synth"])
+def test_build_chain_matches_kron_reference(name, n):
+    p = synthesized_terms()[0][1] if name == "synth" else models.builtin(name)
+    ch = build_chain(p, n)
+    assert np.max(np.abs(ch.matrix - kron_chain(p.op, p.d, n))) <= 1e-12
+
+
+def test_build_chain_matches_kron_reference_complex_d6():
+    _, p = synthesized_terms()[3]
+    assert p.d == 6 and np.max(np.abs(p.op.imag)) > 0
+    for n in (2, 3):
+        assert np.max(np.abs(build_chain(p, n).matrix - kron_chain(p.op, p.d, n))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,ns",
+    [
+        ("ising", range(2, 11)),  # N = 4, 6, 8, 10 have orbits of every period dividing N
+        ("fig2", range(2, 6)),  # real and not diagonal
+        ("zero(1)", range(2, 7)),  # d = 1: one orbit of period 1, only k = 0 has a state
+        ("zero(3)", range(2, 6)),  # period-1 orbits |aa...a> have a k = 0 state only
+    ],
+)
+def test_sector_spectrum_matches_dense_builtins(name, ns):
+    p = models.builtin(name)
+    for n in ns:
+        ch = build_chain(p, n)
+        assert integer_spectrum(ch) == dense_spectrum(ch.matrix), (name, n)
+
+
+def test_sector_spectrum_matches_dense_synthesized():
+    for name, p in synthesized_terms():
+        assert np.max(np.abs(p.op.imag)) > 0, name
+        for n in (2, 3, 4, 6):  # d = 3 reaches the composite N = 6
+            if p.d**n > 1296:  # keeps the dense reference quick
+                continue
+            ch = build_chain(p, n)
+            assert integer_spectrum(ch) == dense_spectrum(ch.matrix), (name, n)
+

@@ -77,6 +77,41 @@ def test_enumerate_cycles_cap():
     assert cycles == [(0, 0, 0, 0, 0)] and not truncated
 
 
+def _recursive_cycles(g, n, cap):
+    """Reference enumeration: recursive depth-first search over walks."""
+    nv = g.num_vertices
+    adj = [[b for b in range(nv) if g.M[a, b] > 0] for a in range(nv)]
+    out = []
+
+    def walk(start, seq):
+        if len(seq) == n:
+            if g.M[seq[-1], start] > 0:
+                if len(out) >= cap:
+                    return True
+                out.append(tuple(seq))
+            return False
+        return any(walk(start, seq + [nxt]) for nxt in adj[seq[-1]])
+
+    truncated = any(walk(v, [v]) for v in range(nv))
+    return out, truncated
+
+
+def test_enumerate_cycles_matches_recursive_order(fig2, small_corpus):
+    graphs = [full_pipeline(fig2)[3]] + [full_pipeline(m.term)[3] for m in small_corpus]
+    for g in graphs:
+        for n in (2, 3, 4, 5):
+            full, _ = _recursive_cycles(g, n, 10**6)
+            for cap in (0, 1, 5, len(full), 10**6):
+                assert enumerate_cycles(g, n, cap) == _recursive_cycles(g, n, cap), (n, cap)
+
+
+def test_enumerate_cycles_long_chain(fig2):
+    _, _, _, g = full_pipeline(fig2)
+    cycles, truncated = enumerate_cycles(g, 1200, cap=2)
+    assert truncated and len(cycles) == 2
+    assert all(len(c) == 1200 and g.M[c[-1], c[0]] > 0 for c in cycles)
+
+
 def test_cycle_trace_agreement(small_corpus):
     for m in small_corpus:
         _, _, _, g = full_pipeline(m.term)
