@@ -1,8 +1,9 @@
 """Dense linear-algebra helpers shared across the package.
 
 Everything here works on plain complex numpy arrays.  Matrices are small
-(site dimension squared at most), so we always go through full SVD/eigh
-rather than iterative methods.
+(site dimension squared at most: three-site identities are reduced to
+Schmidt factors before they get here), so we always go through full
+SVD/eigh rather than iterative methods.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ is linear in X, so the solution space is a null space computation; the
 positive-definite search inside it is a bounded randomized scan and its
 failure does not certify nonexistence.
 
+With h = sum_k s_k A_k (x) B_k (orthonormal Schmidt factors), the defect
+is D(X) = sum_ij s_i s_j A_i (x) (B_i X A_j - A_j X B_i) (x) B_j.  The
+residual of X is ||D(X)||_F, which bounds the spectral norm from above
+and is at most d^(3/2) times it; the solution space is the null space of
+the d^2 x d^2 Gram matrix of X -> D(X).  No three-site operator is built.
+
 The converse direction builds the commuting parent of an injective
 translation-invariant MPS on doubled spins: each site carries two
 chi-dimensional spins (l, r) and the local projector penalizes everything
@@ -29,11 +35,20 @@ from .operators import (
     DEFAULT_TOL,
     LocalTerm,
     ProjectorTerm,
+    _defect_norm,
+    _inner_factors,
     commutator_residual,
     projectorize,
 )
 
 PD_SEARCH_TRIES = 200
+
+# Gram eigenvalues up to NULL_RTOL * max(lambda_max, 1) span the solution
+# space.  They are squared singular values, resolved to about
+# d^2 eps lambda_max (6e-14 lambda_max at d = 16); the cut sits three
+# decades above that, i.e. sigma <= 1e-5 sigma_max.  solve_x's final
+# residual check rejects any X the cut lets through with a real defect.
+NULL_RTOL = 1e-10
 
 __all__ = [
     "XCandidate",
@@ -41,7 +56,6 @@ __all__ = [
     "CommutifyResult",
     "InjectiveMpsMap",
     "MpsParentResult",
-    "eqx_defect",
     "verify_x",
     "solve_x",
     "commutify",
@@ -73,20 +87,33 @@ class VerifyX:
     min_eigenvalue: float
 
 
-def eqx_defect(h: LocalTerm, x: np.ndarray) -> np.ndarray:
-    """Defect operator of the intertwining condition on three sites (linear in x)."""
-    d = h.d
-    eye = np.eye(d)
-    h12 = np.kron(h.op, eye)
-    h23 = np.kron(eye, h.op)
-    x2 = la.kron_all(eye, x, eye)
-    return h12 @ x2 @ h23 - h23 @ x2 @ h12
-
-
 def verify_x(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> VerifyX:
-    residual = la.op_norm(eqx_defect(h, x))
+    a, b = _inner_factors(h)
+    residual = _defect_norm(a, b, x)
     w = np.linalg.eigvalsh((x + la.dag(x)) / 2.0)
     return VerifyX(residual=residual, pd=bool(w[0] > tol), min_eigenvalue=float(w[0]))
+
+
+def _defect_gram(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real Gram matrix of X -> D(X) on the hermitian basis.
+
+    With row-major vec, D(X) has blocks L_ij vec(X), L_ij = b_i (x) a_j^T -
+    a_j (x) b_i^T, and G = sum_ij L_ij^dag L_ij.  The two direct terms are
+    separable; the cross term sum_ij (b_i^dag a_j) (x) (b_i a_j^dag)^T is
+    one (d^2 x r^2)(r^2 x d^2) product.  O(d^8) at full Schmidt rank.
+    """
+    r, d = a.shape[0], basis.shape[1]
+    bb = np.einsum("kji,kjl->il", b.conj(), b)  # sum b^dag b
+    aa = np.einsum("kji,kjl->il", a.conj(), a)  # sum a^dag a
+    b_b = np.einsum("kij,klj->il", b, b.conj())  # sum b b^dag
+    a_a = np.einsum("kij,klj->il", a, a.conj())  # sum a a^dag
+    g = np.kron(bb, a_a.T) + np.kron(aa, b_b.T)
+    left = np.einsum("iba,jbc->ijac", b.conj(), a).reshape(r * r, d * d)
+    right = np.einsum("iab,jcb->ijca", b, a.conj()).reshape(r * r, d * d)
+    cross = (left.T @ right).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    g = g - cross - la.dag(cross)
+    u = basis.reshape(d * d, d * d).T  # column m = vec(G_m)
+    return (la.dag(u) @ g @ u).real
 
 
 def solve_x(
@@ -94,8 +121,8 @@ def solve_x(
 ) -> XCandidate | None:
     """Search the solution space of the intertwining condition for a PD element.
 
-    The hermitian solution space is computed exactly (null space of the
-    vectorized defect map over a hermitian basis).  Candidates tried: the
+    The hermitian solution space is the null space of the Gram matrix of
+    the defect map over a hermitian basis.  Candidates tried: the
     projection of the identity first, then ``tries`` seeded random
     mixtures, keeping the best minimal eigenvalue.  Returns None when
     nothing positive definite is found; absence does not prove that no PD
@@ -103,15 +130,11 @@ def solve_x(
     """
     d = h.d
     basis = la.hermitian_basis(d)
-    cols = []
-    for g in basis:
-        cols.append(eqx_defect(h, g).reshape(-1))
-    a = np.array(cols).T
-    stacked = np.vstack([a.real, a.imag])
-    null = la.nullspace(stacked, rtol=1e-10)
+    a, b = _inner_factors(h)
+    lam, vecs = np.linalg.eigh(_defect_gram(a, b, basis))
+    null = vecs[:, lam <= NULL_RTOL * max(float(lam[-1]), 1.0)]
     if null.shape[1] == 0:
         return None
-    null = null.real
 
     def make_x(coeffs: np.ndarray) -> np.ndarray:
         x = np.tensordot(null @ coeffs, basis, axes=(0, 0))
@@ -145,8 +168,9 @@ def solve_x(
     if best is None or best[0] <= tol:
         return None
     lo, x = best
-    residual = la.op_norm(eqx_defect(h, x))
-    if residual > max(tol, 1e-10 * la.op_norm(h.op) ** 3):
+    # ||D(X)||_F <= 2 ||h||_F^2 ||X||_2: accept a relative defect of 1e-10.
+    residual = _defect_norm(a, b, x)
+    if residual > max(tol, 1e-10 * np.linalg.norm(h.op) ** 2 * np.linalg.norm(x, 2)):
         return None
     return XCandidate(x=x, min_eigenvalue=lo, residual=residual)
 

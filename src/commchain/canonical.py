@@ -248,8 +248,12 @@ def classify_phase(term: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0) -> 
     """Run the full pipeline and report the phase of the input term."""
     report = PhaseReport(tol=tol, seed=seed, notes=list(_CONVENTION_NOTES))
     try:
-        p = term if isinstance(term, ProjectorTerm) else projectorize(term, tol)
-    except CommchainError as exc:
+        if isinstance(term, ProjectorTerm):
+            term.validate()
+            p = term
+        else:
+            p = projectorize(term, tol)
+    except (CommchainError, ValueError) as exc:
         report.error = str(exc)
         report.stage = "projectorize"
         return report

@@ -372,17 +372,18 @@ def ground_states(
             )
         return GroundStateList(N=n, states=states, truncated=False)
 
-    cycles, truncated = enumerate_cycles(g, n, cap)
+    cycles, enum_truncated = enumerate_cycles(g, n, cap)
+    cap_hit = False
     for cyc in cycles:
         if len(states) >= cap:
-            truncated = True
+            cap_hit = True
             break
         edges = [(cyc[j], cyc[(j + 1) % n]) for j in range(n)]
         choices = [range(bonds[a][b].kernel_dim) for a, b in edges]
         idx = [0] * n
         while True:
             if len(states) >= cap:
-                truncated = True
+                cap_hit = True
                 break
             vecs = [
                 _phase_fix(bonds[a][b].kernel_basis[:, idx[j]])
@@ -398,9 +399,9 @@ def ground_states(
                 pos -= 1
             if pos < 0:
                 break
-        if truncated:
+        if cap_hit:
             break
-    return GroundStateList(N=n, states=states, truncated=truncated)
+    return GroundStateList(N=n, states=states, truncated=enum_truncated or cap_hit)
 
 
 @dataclass

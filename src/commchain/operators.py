@@ -7,6 +7,12 @@ the operator Schmidt decomposition across the two-site cut (with hermitian
 factors), and synthesizes random commuting projectors with a prescribed
 block/graph structure for testing.
 
+The commutator residual is the Frobenius norm of C = [h x 1, 1 x h],
+computed from the operator Schmidt factors of h.  As C has rank at most
+d^3, ||C||_2 <= ||C||_F <= d^(3/2) ||C||_2: the gates on it (``<= tol`` in
+``check_commuting``, ``<= sqrt(tol)`` in ``decompose_site``) are never
+looser than the same gates on the spectral norm.
+
 Conventions: the two-site basis is |i> x |j| with flat index i*d + j, the
 left site first.
 """
@@ -129,12 +135,60 @@ def projectorize(h: LocalTerm, tol: float = DEFAULT_TOL) -> ProjectorTerm:
     return ProjectorTerm(h.d, (p + la.dag(p)) / 2.0)
 
 
-def commutator_residual(term: LocalTerm) -> float:
-    """Norm of [h x 1, 1 x h] on three sites."""
+def _inner_factors(term: LocalTerm) -> tuple[np.ndarray, np.ndarray]:
+    """Inner Schmidt factors (s_k A_k, s_k B_k) of h = sum_k s_k A_k (x) B_k.
+
+    One SVD of the reshuffled d^2 x d^2 matrix gives Hilbert-Schmidt
+    orthonormal A_k, B_k.  Coefficients below the SVD's own resolution
+    (numpy's matrix_rank cut, s_0 d^2 eps) are dropped.  Returns two
+    arrays of shape (r, d, d).
+    """
     d = term.d
-    left = np.kron(term.op, np.eye(d))
-    right = np.kron(np.eye(d), term.op)
-    return la.op_norm(left @ right - right @ left)
+    r = term.op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    u, s, vh = np.linalg.svd(r)
+    keep = s > s[0] * d * d * np.finfo(float).eps
+    a = (u[:, keep] * s[keep]).T.reshape(-1, d, d)
+    b = (vh[keep] * s[keep, None]).reshape(-1, d, d)
+    return a, b
+
+
+# Entries of one (i-chunk, j, d, d) defect slab; bounds memory at large d.
+_SLAB_ENTRIES = 1 << 21
+
+
+def _defect_norm(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """Frobenius norm of h12 X2 h23 - h23 X2 h12 from the inner factors.
+
+    The defect is sum_ij A_i (x) (b_i X a_j - a_j X b_i) (x) B_j with
+    orthonormal outer factors, so its squared norm is
+    sum_ij ||b_i X a_j - a_j X b_i||_F^2: O(r^2 d^3) in batched GEMMs.
+    """
+    r, d = a.shape[0], x.shape[0]
+    if r == 0:
+        return 0.0
+    a_cols = a.transpose(1, 0, 2).reshape(d, r * d)  # [m, (j, n)]
+    b_cols = b.transpose(1, 0, 2).reshape(d, r * d)
+    ax = (a @ x).reshape(r * d, d)
+    bx = b @ x
+    step = max(1, _SLAB_ENTRIES // (r * d * d))
+    total = 0.0
+    for i0 in range(0, r, step):
+        bxa = bx[i0 : i0 + step].reshape(-1, d) @ a_cols  # [(i, m), (j, n)]
+        axb = ax @ b_cols[:, i0 * d : (i0 + step) * d]  # [(j, m), (i, n)]
+        c = bxa.reshape(-1, d, r, d) - axb.reshape(r, d, -1, d).transpose(2, 1, 0, 3)
+        total += float(np.vdot(c, c).real)
+    return float(np.sqrt(total))
+
+
+def commutator_residual(term: LocalTerm) -> float:
+    """Frobenius norm of [h x 1, 1 x h] on three sites.
+
+    [h x 1, 1 x h] = sum_kl s_k s_l A_k (x) [B_k, A_l] (x) B_l, so the
+    squared norm is sum_kl s_k^2 s_l^2 ||[B_k, A_l]||_F^2: O(d^7), with no
+    d^3 x d^3 operator.
+    """
+    a, b = _inner_factors(term)
+    return _defect_norm(a, b, np.eye(term.d))
 
 
 def check_commuting(p: ProjectorTerm, tol: float = DEFAULT_TOL) -> CommutingCheck:

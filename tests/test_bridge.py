@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from commchain import _linalg as la
 from commchain import models
 from commchain._linalg import haar_unitary
 from commchain.bridge import (
+    NULL_RTOL,
+    _defect_gram,
     commutify,
-    eqx_defect,
     mps_parent,
     polar_normalize,
     random_injective_map,
@@ -17,9 +19,9 @@ from commchain.bridge import (
 from commchain.ed import apply_sitewise, build_chain, kernel_dim
 from commchain.errors import CommutificationFailed, SingularS
 from commchain.groundspace import loop_states, loop_mps_tensor
-from commchain.operators import LocalTerm, commutator_residual
+from commchain.operators import LocalTerm, _inner_factors, commutator_residual, synthesize_local_term
 
-from conftest import full_pipeline
+from conftest import dense_eqx_defect, full_pipeline
 
 
 def test_solve_x_commuting_has_identity(ising):
@@ -61,9 +63,62 @@ def test_defect_linearity():
     x2 = rng.standard_normal((4, 4))
     x2 = x2 + x2.T
     a, b = 0.7, -1.3
-    lhs = eqx_defect(h, a * x1 + b * x2)
-    rhs = a * eqx_defect(h, x1) + b * eqx_defect(h, x2)
+    lhs = dense_eqx_defect(h, a * x1 + b * x2)
+    rhs = a * dense_eqx_defect(h, x1) + b * dense_eqx_defect(h, x2)
     assert np.linalg.norm(lhs - rhs) < 1e-10
+    for x in (x1, x2, a * x1 + b * x2):
+        dense = np.linalg.norm(dense_eqx_defect(h, x))
+        assert abs(verify_x(h, x).residual - dense) <= 1e-10 * dense
+
+
+def _deformed(blocks, kdims, seed):
+    """(S^-1 x S^-1) P (S^-1 x S^-1) for a planted commuting P; X = S^2 solves it."""
+    rng = np.random.default_rng(seed)
+    p = synthesize_local_term(blocks, kdims, seed)
+    q = haar_unitary(p.d, rng)
+    s_inv = (q / np.linspace(0.6, 1.8, p.d)) @ q.conj().T
+    c = np.kron(s_inv, s_inv)
+    h = c @ p.op @ c
+    return LocalTerm(p.d, (h + h.conj().T) / 2.0)
+
+
+def _deformed_terms():
+    return [
+        _deformed([(1, 1), (2, 2)], [[1, 1], [0, 1]], seed=5),
+        _deformed([(1, 2), (2, 2)], [[1, 2], [0, 1]], seed=6),
+    ]
+
+
+def _dense_null_space(h):
+    """Reference: SVD null space of the stacked dense defect columns."""
+    basis = la.hermitian_basis(h.d)
+    cols = np.array([dense_eqx_defect(h, g).reshape(-1) for g in basis]).T
+    stacked = np.vstack([cols.real, cols.imag])
+    return la.nullspace(stacked, rtol=1e-10).real, np.linalg.svd(stacked, compute_uv=False)
+
+
+def test_defect_gram_matches_dense_null_space():
+    chains = [mps_parent(random_injective_map(2, seed=s)).h for s in (3, 7, 11)]
+    for h in chains + _deformed_terms():
+        a, b = _inner_factors(h)
+        lam, vecs = np.linalg.eigh(_defect_gram(a, b, la.hermitian_basis(h.d)))
+        ref_null, sigma = _dense_null_space(h)
+        # Gram eigenvalues are the dense squared singular values.
+        assert np.max(np.abs(lam - np.sort(sigma**2))) <= 1e-12 * lam[-1]
+        null = vecs[:, lam <= NULL_RTOL * max(lam[-1], 1.0)]
+        assert null.shape[1] >= 1
+        assert la.subspace_angle_sin(null, ref_null) <= 1e-8
+
+
+def test_solve_x_on_deformed_terms():
+    for h in _deformed_terms():
+        cand = solve_x(h, seed=0)
+        assert cand is not None and cand.residual <= 1e-9
+        dense = np.linalg.norm(dense_eqx_defect(h, cand.x))
+        assert abs(cand.residual - dense) <= 1e-10 * dense + 1e-13
+        out = commutify(h, cand.x)
+        assert out.certificate["kernel_match"]
+        assert out.certificate["x_residual"] <= 1e-9
 
 
 def test_commutify_identity_on_commuting(ising):

@@ -210,3 +210,10 @@ def test_full_chain_ground_space(small_corpus):
         assert same_subspace(kconj, target, tol=1e-8)
         checked += 1
     assert checked >= 2
+
+
+def test_classify_mislabelled_projector_fails_at_projectorize():
+    rep = classify_phase(cc.ProjectorTerm(2, 2 * np.eye(4)))
+    assert rep.stage == "projectorize"
+    assert "not a projector" in rep.error
+    assert rep.commuting is None and rep.exit_code() == 1

@@ -268,3 +268,14 @@ def test_scale_invariant_constant_degeneracy(small_corpus):
         if v.scale_invariant:
             t = TransferMatrices.from_graph(g)
             assert all(degeneracy(t, n) == len(v.loops) for n in range(1, 13))
+
+
+def test_ground_states_keep_every_cycle_when_enumeration_truncated(fig2):
+    # Three closed walks fit under the cap; each carries one state, so all
+    # three are returned, marked truncated because more walks exist.
+    _, dec, bonds, g = full_pipeline(fig2)
+    cycles, enum_truncated = enumerate_cycles(g, 4, cap=3)
+    assert len(cycles) == 3 and enum_truncated
+    gs = ground_states(dec, bonds, 4, cap=3)
+    assert len(gs.states) == 3 and gs.truncated
+    assert [s.cycle for s in gs.states] == cycles

@@ -1,0 +1,68 @@
+"""Metamorphic properties of the commutator gate and the phase verdict.
+
+A local basis change U (x) U moves no physics: the Frobenius residual is
+unitarily invariant, and the verdict, the block dimensions and the
+degeneracy stay put.  Planted verdicts also hold across six decades of
+``tol``.  Hypothesis runs derandomized with a handful of examples, so
+the draws are the same on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commchain import models
+from commchain._linalg import haar_unitary
+from commchain.canonical import classify_phase
+from commchain.operators import LocalTerm, commutator_residual
+
+SETTINGS = settings(max_examples=8, derandomize=True, deadline=None, database=None)
+
+
+def _builtins():
+    return [models.ising(), models.fig2(), models.zero(3)]
+
+
+def _rotate(term, seed):
+    u = haar_unitary(term.d, np.random.default_rng(seed))
+    uu = np.kron(u, u)
+    op = uu @ term.op @ uu.conj().T
+    return type(term)(term.d, (op + op.conj().T) / 2.0)
+
+
+@SETTINGS
+@given(index=st.integers(0, 14), seed=st.integers(0, 2**31 - 1), eps=st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_basis_change_keeps_residual(small_corpus, index, seed, eps):
+    terms = _builtins() + [m.term for m in small_corpus]
+    term = terms[index]
+    if eps:
+        rng = np.random.default_rng(seed + 1)
+        n = term.d * term.d
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        term = LocalTerm(term.d, term.op + eps * (z + z.conj().T) / 2.0)
+    before = commutator_residual(term)
+    after = commutator_residual(_rotate(term, seed))
+    assert abs(after - before) <= 1e-12 * max(1.0, before)
+
+
+@SETTINGS
+@given(index=st.integers(0, 14), seed=st.integers(0, 2**31 - 1))
+def test_basis_change_keeps_verdict(small_corpus, index, seed):
+    terms = _builtins() + [m.term for m in small_corpus]
+    term = terms[index]
+    rep = classify_phase(term)
+    rot = classify_phase(_rotate(term, seed))
+    assert rot.exit_code() == rep.exit_code()
+    assert rot.commuting and rep.commuting
+    assert rot.scale_invariant == rep.scale_invariant
+    assert sorted(rot.block_dims) == sorted(rep.block_dims)
+    assert rot.degeneracy == rep.degeneracy
+
+
+@SETTINGS
+@given(index=st.integers(0, 11), exponent=st.floats(-12.0, -6.0))
+def test_planted_verdict_across_tol(small_corpus, index, exponent):
+    m = small_corpus[index]
+    rep = classify_phase(m.term, tol=10.0**exponent)
+    assert rep.commuting and rep.error is None
+    assert rep.scale_invariant == m.scale_invariant_planted

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import commchain as cc
-from commchain import models
+from commchain import models, operators
 from commchain.errors import InvalidSpec, NotHermitian, NotPSD
 from commchain.operators import (
     LocalTerm,
@@ -16,7 +16,7 @@ from commchain.operators import (
     synthesize_local_term,
 )
 
-from conftest import full_pipeline
+from conftest import dense_eqx_defect, full_pipeline
 
 
 def test_projectorize_spectral_truncation():
@@ -194,3 +194,51 @@ def test_symmetrized_absorbs_noise():
 def test_commutator_residual_zero_for_diagonal():
     h = LocalTerm(2, np.diag([0.3, 1.2, 0.7, 0.0]).astype(complex))
     assert commutator_residual(h) < 1e-12
+
+
+def _noisy(term, eps, seed):
+    rng = np.random.default_rng(seed)
+    n = term.d * term.d
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return LocalTerm(term.d, term.op + eps * (z + z.conj().T) / 2.0)
+
+
+def _dense_commutator(term):
+    return dense_eqx_defect(term, np.eye(term.d))
+
+
+def _gate_terms(ising, fig2, small_corpus):
+    base = [ising, fig2, models.zero(3)] + [m.term for m in small_corpus]
+    noisy = [
+        _noisy(t, eps, seed)
+        for seed, t in enumerate([ising, fig2, small_corpus[4].term, small_corpus[-1].term])
+        for eps in (1e-12, 1e-6, 1e-3)
+    ]
+    return base, noisy
+
+
+def test_commutator_residual_is_dense_frobenius_norm(ising, fig2, small_corpus):
+    # Relative agreement 1e-10, above a floor at the rounding level of the
+    # dense d^3 x d^3 product (planted terms read about 1e-15 either way).
+    base, noisy = _gate_terms(ising, fig2, small_corpus)
+    for t in base + noisy:
+        dense = np.linalg.norm(_dense_commutator(t))
+        floor = 64 * np.finfo(float).eps * max(1.0, np.linalg.norm(t.op) ** 2)
+        assert abs(commutator_residual(t) - dense) <= 1e-10 * dense + floor
+
+
+def test_commutator_residual_bounds_spectral_norm(ising, fig2, small_corpus):
+    # ||C||_2 <= ||C||_F <= sqrt(rank C) ||C||_2 with rank C <= d^3.
+    _, noisy = _gate_terms(ising, fig2, small_corpus)
+    for t in noisy:
+        two = np.linalg.norm(_dense_commutator(t), 2)
+        resid = commutator_residual(t)
+        assert two * (1 - 1e-10) <= resid <= t.d**1.5 * two
+
+
+def test_commutator_residual_slabs_match_one_pass(monkeypatch, small_corpus):
+    # Large d splits the defect into slabs over i; force that split here.
+    term = _noisy(small_corpus[-1].term, 1e-3, seed=5)
+    whole = commutator_residual(term)
+    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 7 * term.d**2)
+    assert abs(commutator_residual(term) - whole) <= 1e-13 * whole
