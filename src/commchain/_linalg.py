@@ -3,7 +3,9 @@
 Everything here works on plain complex numpy arrays.  Matrices are small
 (site dimension squared at most: three-site identities are reduced to
 Schmidt factors before they get here), so we always go through full
-SVD/eigh rather than iterative methods.
+SVD/eigh rather than iterative methods.  The JSON codec for complex
+arrays (nested [re, im] pairs) lives here too, so every report writes
+and reads them the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ __all__ = [
     "cluster_eigenvalues",
     "complete_orthonormal",
     "subspace_angle_sin",
+    "complex_to_json",
+    "complex_from_json",
 ]
 
 
@@ -166,3 +170,20 @@ def subspace_angle_sin(a: np.ndarray, b: np.ndarray) -> float:
     ra = a - b @ (dag(b) @ a)
     rb = b - a @ (dag(a) @ b)
     return max(op_norm(ra), op_norm(rb))
+
+
+def complex_to_json(a) -> list:
+    """Nested lists of [re, im] float pairs for a complex array of any shape."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def complex_from_json(rows) -> np.ndarray:
+    """Complex array from the nested [re, im] pairs of ``complex_to_json``."""
+    a = np.asarray(rows)
+    if a.dtype.kind not in "biuf" or a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError("complex entries must be nested [re, im] number pairs")
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real = a[..., 0]
+    out.imag = a[..., 1]
+    return out

@@ -73,7 +73,7 @@ class XCandidate:
 
     def to_dict(self) -> dict:
         return {
-            "X": [[[float(z.real), float(z.imag)] for z in row] for row in self.x],
+            "X": la.complex_to_json(self.x),
             "residual": self.residual,
             "min_eig": self.min_eigenvalue,
             "status": "found",
@@ -236,7 +236,7 @@ class InjectiveMpsMap:
     def to_dict(self) -> dict:
         return {
             "chi": self.chi,
-            "S": [[[float(z.real), float(z.imag)] for z in row] for row in self.s],
+            "S": la.complex_to_json(self.s),
         }
 
 

@@ -14,10 +14,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bridge as bridge_mod
 from . import models
+from ._linalg import complex_from_json, complex_to_json
 from .canonical import canonical_chain, canonical_hamiltonian, classify_phase
 from .decomposition import decompose_site
 from .ed import build_chain, integer_spectrum
@@ -32,8 +31,15 @@ EXIT_NOT_COMMUTING = 2
 EXIT_NOT_SCALE_INVARIANT = 3
 
 
+class _ReportTooLarge(CommchainError):
+    """An exact integer in the report is past the interpreter's int-to-str limit."""
+
+
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, indent=2) + "\n"
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise _ReportTooLarge(f"report not written: {exc}") from exc
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -162,16 +168,13 @@ def cmd_census(args) -> int:
         term = _load_term(args)
         n_list = _parse_n_list(args.N)
         _, _, _, g = _pipeline(term, args.tol, args.seed)
+        t = TransferMatrices.from_graph(g)
+        census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
     except _NotCommutingExit as exc:
         return _fail(str(exc), args, EXIT_NOT_COMMUTING)
     except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(str(exc), args)
-    t = TransferMatrices.from_graph(g)
-    doc = {
-        "census": {str(n): spectral_census(t, n).to_dict() for n in n_list},
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    doc = {"census": census, "seed": args.seed, "tol": args.tol}
     _emit(doc, args.json)
     return EXIT_OK
 
@@ -227,12 +230,8 @@ def cmd_canonical(args) -> int:
         "k": chain.k,
         "canonical_rep": chain.canonical.to_dict() if chain.canonical else None,
         "pruned": chain.pruned.to_dict(),
-        "disentangler": [
-            [[float(z.real), float(z.imag)] for z in row] for row in chain.disentangler.u
-        ],
-        "site_states": [
-            [[float(z.real), float(z.imag)] for z in v] for v in chain.site_states
-        ],
+        "disentangler": complex_to_json(chain.disentangler.u),
+        "site_states": [complex_to_json(v) for v in chain.site_states],
         "seed": args.seed,
         "tol": args.tol,
     }
@@ -284,16 +283,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def cmd_bridge(args) -> int:
     try:
         if args.action == "mps-parent":
             if args.s_matrix:
                 doc = _read_doc(args.s_matrix)
-                m = bridge_mod.polar_normalize(_matrix_from_json(doc["S"]), args.tol)
+                m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
             else:
                 m = bridge_mod.random_injective_map(args.chi, args.seed)
             res = bridge_mod.mps_parent(m)
@@ -311,7 +306,7 @@ def cmd_bridge(args) -> int:
             return EXIT_OK
         if args.action == "polar-normalize":
             doc = _read_doc(args.input)
-            m = bridge_mod.polar_normalize(_matrix_from_json(doc["S"]), args.tol)
+            m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
             _emit({**m.to_dict(), "seed": args.seed, "tol": args.tol}, args.json)
             return EXIT_OK
         if args.action == "solve-x":
@@ -329,7 +324,7 @@ def cmd_bridge(args) -> int:
             xc = doc.get("x_candidate", doc)
             if "X" not in xc or xc.get("status") == "not_found":
                 return _fail("no X candidate in input document", args)
-            x = _matrix_from_json(xc["X"])
+            x = complex_from_json(xc["X"])
             res = bridge_mod.commutify(h, x, args.tol)
             _emit(
                 {
@@ -367,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")
     sp.set_defaults(func=cmd_degeneracy)
 
-    sp = subs.add_parser("census", help="exact energy census over N")
+    sp = subs.add_parser(
+        "census",
+        help="exact energy census over N (bounded: fig2 up to N=2047, ising up to N=7678)",
+    )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")
     sp.set_defaults(func=cmd_census)
@@ -407,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ReportTooLarge as exc:
+        return _fail(str(exc), args)
 
 
 if __name__ == "__main__":

@@ -151,9 +151,7 @@ class SiteDecomposition:
                 {
                     "l": b.l,
                     "r": b.r,
-                    "isometry": [
-                        [[float(z.real), float(z.imag)] for z in row] for row in b.isometry
-                    ],
+                    "isometry": la.complex_to_json(b.isometry),
                 }
                 for b in self.blocks
             ],
@@ -163,10 +161,7 @@ class SiteDecomposition:
     def from_dict(cls, data: dict) -> "SiteDecomposition":
         blocks = []
         for rec in data["blocks"]:
-            iso = np.array(
-                [[complex(re, im) for re, im in row] for row in rec["isometry"]],
-                dtype=complex,
-            )
+            iso = la.complex_from_json(rec["isometry"])
             blocks.append(Block(l=int(rec["l"]), r=int(rec["r"]), isometry=iso))
         return cls(d=int(data["d"]), blocks=blocks)
 

@@ -46,7 +46,7 @@ class SingularS(CommchainError):
 
 
 class TooLarge(CommchainError):
-    """Requested chain exceeds the dense diagonalization cap."""
+    """Requested chain exceeds a size cap (dense diagonalization or census)."""
 
 
 class NonIntegerSpectrum(CommchainError):

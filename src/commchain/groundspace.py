@@ -6,21 +6,36 @@ integers.  The full energy census comes from the same transfer structure:
 the dimension of the energy-k eigenspace is the x^k coefficient of
 Tr((M + x R)^N), since the bond projectors in a fixed block sector act on
 disjoint tensor slots and admit a simultaneous eigenbasis labelled by
-per-bond outcomes.  Both quantities are validated against the dense
+per-bond outcomes.  The census is exact and multimodular: the polynomial
+is evaluated at roots of unity modulo NTT primes in int64, transformed
+back and rebuilt by CRT.  It is bounded in N: past ``MAX_CENSUS_ENTRIES``
+evaluation entries (fig2: N > 2047, ising: N > 7678) it raises
+``TooLarge``.  Both quantities are validated against the dense
 diagonalization oracle in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import complex_to_json
 from .decomposition import SiteDecomposition
+from .errors import TooLarge
 from .graph import BondFactor, InteractionGraph, build_graph
 
 DEFAULT_CYCLE_CAP = 10_000
 DEFAULT_STATE_CAP = 10_000
+
+# The census refuses a chain whose evaluation stack, primes x L x nv^2
+# int64 entries, would exceed this (fig2, nv = 4: N <= 2047).
+MAX_CENSUS_ENTRIES = 1 << 23
+# Int64 entries per slab of evaluation points raised to the N-th power.
+_CENSUS_SLAB = 1 << 14
+# NTT primes by two-adic order k: the largest p < 2^31 with p = 1 mod 2^k.
+_NTT_PRIMES: dict[int, list[int]] = {}
 
 __all__ = [
     "TransferMatrices",
@@ -258,17 +273,12 @@ class GroundState:
     def to_dict(self) -> dict:
         out = {
             "cycle": [int(v) for v in self.cycle],
-            "bond_vectors": [
-                [[float(z.real), float(z.imag)] for z in v] for v in self.bond_vectors
-            ],
+            "bond_vectors": [complex_to_json(v) for v in self.bond_vectors],
         }
         if self.mps_tensor is not None:
             out["mps"] = {
                 "bond_dim": int(self.mps_bond_dim),
-                "tensor": [
-                    [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-                    for mat in self.mps_tensor
-                ],
+                "tensor": complex_to_json(self.mps_tensor),
             }
         return out
 
@@ -418,46 +428,203 @@ class SpectralCensus:
         return {"N": self.N, "dims": {str(k): self.dims[k] for k in sorted(self.dims)}}
 
 
-def _poly_mul(p: list[int], q: list[int], maxdeg: int) -> list[int]:
-    out = [0] * min(len(p) + len(q) - 1, maxdeg + 1)
-    for i, a in enumerate(p):
-        if a == 0:
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every n < 3.2e9."""
+    if n < 2 or any(n % q == 0 for q in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1:
             continue
-        for j, b in enumerate(q):
-            if i + j > maxdeg:
+        for _ in range(s):
+            if x == n - 1:
                 break
-            if b:
-                out[i + j] += a * b
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _ntt_primes(k: int, count: int) -> list[int]:
+    """The ``count`` largest primes p < 2^31 with p = 1 mod 2^k, cached."""
+    found = _NTT_PRIMES.setdefault(k, [])
+    c = (found[-1] >> k) - 1 if found else (2**31 - 2) >> k
+    while len(found) < count:
+        if c < 1:
+            raise TooLarge(f"fewer than {count} NTT primes below 2^31 for length 2^{k}")
+        if _is_prime((c << k) + 1):
+            found.append((c << k) + 1)
+        c -= 1
+    return found[:count]
+
+
+def _root_of_unity(p: int, size: int) -> int:
+    """An element of order exactly ``size`` (a power of two dividing p - 1).
+
+    A quadratic non-residue g has g^((p-1)/2) = -1, so g^((p-1)/size)
+    squares to -1 after size/2 steps and has order exactly ``size``.
+    """
+    g = 2
+    while pow(g, (p - 1) // 2, p) != p - 1:
+        g += 1
+    return pow(g, (p - 1) // size, p)
+
+
+def _reduce(a: np.ndarray, p: int, scratch: np.ndarray | None = None) -> None:
+    """Int64 ``a`` mod p into [0, p), in place.
+
+    ``a - (a // p) p`` with a scalar divisor is about twice as fast as
+    ``np.remainder``: numpy divides by a scalar without a division
+    instruction.
+    """
+    if scratch is None:
+        scratch = np.empty_like(a)
+    np.floor_divide(a, p, out=scratch)
+    scratch *= p
+    a -= scratch
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Matrix product mod p of two (nv, nv, batch) stacks.
+
+    The batch axis is last, so every elementwise pass runs over long
+    contiguous rows.  Entries of a and b lie in [0, p) with p < 2^31, so
+    each product is below 2^62.  Every product is reduced before it is
+    added, so the running sum stays below nv p: no int64 intermediate
+    can overflow.
+    """
+    out = np.zeros_like(a)
+    term = np.empty_like(a)
+    scratch = np.empty_like(a)
+    for k in range(a.shape[0]):
+        np.multiply(a[:, k, None], b[None, k], out=term)
+        _reduce(term, p, scratch)
+        out += term
+    _reduce(out, p, scratch)
     return out
 
 
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = p[:]
-    for i, b in enumerate(q):
-        out[i] += b
+def _census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
+    """Coefficients 0..n of Tr((M + xR)^n) mod p.
+
+    Evaluates at the ``size`` powers of a root of unity, ``_CENSUS_SLAB``
+    entries at a time, then applies an inverse NTT of O(size log size).
+    """
+    nv = len(m)
+    w = _root_of_unity(p, size)
+    # pw[i] = w^i, by doubling.
+    pw = np.empty(size, dtype=np.int64)
+    pw[0] = 1
+    filled = 1
+    while filled < size:
+        seg = pw[filled: 2 * filled]
+        np.multiply(pw[:filled], pow(w, filled, p), out=seg)
+        _reduce(seg, p)
+        filled *= 2
+    mp = np.array([[x % p for x in row] for row in m], dtype=np.int64).reshape(nv, nv)
+    rp = np.array([[x % p for x in row] for row in r], dtype=np.int64).reshape(nv, nv)
+    # Tr(A(w^i)^n) by left-to-right binary powering.
+    traces = np.empty(size, dtype=np.int64)
+    step = max(1, _CENSUS_SLAB // max(1, nv * nv))
+    for lo in range(0, size, step):
+        x = pw[lo: lo + step]
+        base = rp[:, :, None] * x + mp[:, :, None]
+        _reduce(base, p)
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = _mulmod(acc, acc, p)
+            if bit == "1":
+                acc = _mulmod(acc, base, p)
+        tr = np.trace(acc)
+        _reduce(tr, p)
+        traces[lo: lo + len(x)] = tr
+    # Inverse transform: radix-2 decimation in time on bit-reversed input,
+    # in place, with twiddles w^-j = pw[(size - j) % size].
+    rev = np.zeros(1, dtype=np.intp)
+    while rev.size < size:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    a = traces[rev]
+    inv_pw = np.concatenate((pw[:1], pw[:0:-1]))
+    half = 1
+    while half < size:
+        view = a.reshape(-1, 2 * half)
+        tw = inv_pw[:: size // (2 * half)][:half]
+        v = view[:, half:] * tw
+        _reduce(v, p)
+        np.subtract(view[:, :half], v, out=view[:, half:])
+        view[:, :half] += v
+        _reduce(view, p)
+        half *= 2
+    out = a[: n + 1] * pow(size, -1, p)
+    _reduce(out, p)
     return out
+
+
+def _garner(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """The integers in [0, prod(primes)) with the given residues (rows).
+
+    Vectorized Garner: after step j, row j holds the j-th mixed-radix
+    digit of every coefficient; the digits are then folded into one
+    Python int per coefficient by Horner's rule.
+    """
+    x = residues.copy()
+    for j in range(len(primes) - 1):
+        pj = primes[j]
+        for i in range(j + 1, len(primes)):
+            pi = primes[i]
+            row = x[i]
+            row -= x[j]
+            row *= pow(pj, -1, pi)
+            _reduce(row, pi)
+    value = x[-1].astype(object)
+    for i in range(len(primes) - 2, -1, -1):
+        value = value * primes[i] + x[i].astype(object)
+    return [int(v) for v in value]
 
 
 def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
-    """Energy census dims[k] = [x^k] Tr((M + x R)^N), exact integers."""
+    """Energy census dims[k] = [x^k] Tr((M + x R)^N), exact integers.
+
+    Multimodular: M + xR is evaluated at the L powers of an L-th root of
+    unity (L the least power of two above N) modulo NTT primes
+    p = c 2^k + 1 < 2^31, enough that their product exceeds
+    T = Tr((M + R)^N).  Every coefficient is a nonnegative integer at most
+    T, so the CRT answer is unique.  Per prime, the evaluated matrices are
+    raised to the N-th power in int64 (each product of two residues is
+    below 2^62 and is reduced before it is summed, so a running sum stays
+    below nv p), their traces are transformed back by an inverse NTT, and
+    the coefficients are rebuilt by Garner's algorithm.  The coefficients
+    must sum to T exactly; that is checked on every call.
+
+    Raises ``TooLarge``, before any evaluation, when primes x L x nv^2
+    exceeds ``MAX_CENSUS_ENTRIES``; the prime count is bounded from
+    T <= nv rho^N (rho the largest row sum of M + R) at 30 bits a prime.
+    """
     if n < 1:
         raise ValueError("chain length must be at least 1")
     nv = t.num_vertices
-    base = [[[t.M[a][b], t.R[a][b]] for b in range(nv)] for a in range(nv)]
-    power = [[[1] if a == b else [0] for b in range(nv)] for a in range(nv)]
-    for _ in range(n):
-        new = [[[0] for _ in range(nv)] for _ in range(nv)]
-        for a in range(nv):
-            for b in range(nv):
-                acc = [0]
-                for c in range(nv):
-                    acc = _poly_add(acc, _poly_mul(power[a][c], base[c][b], n))
-                new[a][b] = acc
-        power = new
-    trace = [0]
-    for a in range(nv):
-        trace = _poly_add(trace, power[a][a])
-    dims = {k: (trace[k] if k < len(trace) else 0) for k in range(n + 1)}
-    return SpectralCensus(N=n, dims=dims)
+    size = 1 << n.bit_length()  # least power of two >= n + 1
+    s = [[t.M[a][b] + t.R[a][b] for b in range(nv)] for a in range(nv)]
+    rho = max((sum(row) for row in s), default=0)
+    bits = (math.log2(nv) + n * math.log2(rho)) if rho > 0 else 0.0
+    entries = (int(bits) // 30 + 1) * size * nv * nv
+    if entries > MAX_CENSUS_ENTRIES:
+        raise TooLarge(
+            f"census at N={n} on {nv} vertices needs about {entries} evaluation "
+            f"entries, past the limit {MAX_CENSUS_ENTRIES}"
+        )
+    total = sum(row[i] for i, row in enumerate(_mat_pow(s, n)))
+    primes: list[int] = []
+    product = 1
+    k = size.bit_length() - 1
+    while product <= total or not primes:
+        primes = _ntt_primes(k, len(primes) + 1)
+        product *= primes[-1]
+    residues = np.stack([_census_residues(t.M, t.R, n, p, size) for p in primes])
+    coeffs = _garner(residues, primes)
+    if sum(coeffs) != total:
+        raise AssertionError("census coefficients do not sum to Tr((M + R)^N)")
+    return SpectralCensus(N=n, dims=dict(enumerate(coeffs)))

@@ -64,16 +64,13 @@ class LocalTerm:
     def to_dict(self) -> dict:
         return {
             "d": self.d,
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.op],
+            "matrix": la.complex_to_json(self.op),
         }
 
     @classmethod
     def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "LocalTerm":
         d = int(data["d"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]], dtype=complex
-        )
-        return cls.symmetrized(d, mat, tol)
+        return cls.symmetrized(d, la.complex_from_json(data["matrix"]), tol)
 
 
 @dataclass

@@ -35,6 +35,7 @@ import commchain as cc
 from commchain import models
 from commchain.decomposition import decompose_site
 from commchain.graph import build_graph, extract_bond_projectors
+from commchain.groundspace import SpectralCensus, TransferMatrices
 from commchain.operators import ProjectorTerm, projectorize
 
 
@@ -48,6 +49,54 @@ def dense_eqx_defect(term, x) -> np.ndarray:
     h23 = np.kron(eye, term.op)
     x2 = np.kron(np.kron(eye, x), eye)
     return h12 @ x2 @ h23 - h23 @ x2 @ h12
+
+
+def _poly_mul(p: list[int], q: list[int], maxdeg: int) -> list[int]:
+    out = [0] * min(len(p) + len(q) - 1, maxdeg + 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if i + j > maxdeg:
+                break
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = p[:]
+    for i, b in enumerate(q):
+        out[i] += b
+    return out
+
+
+def bigint_census(t: TransferMatrices, n: int) -> SpectralCensus:
+    """Reference census: N sequential big-integer polynomial-matrix products.
+
+    dims[k] = [x^k] Tr((M + x R)^N), O(nv^3 N^2) Python operations.
+    """
+    if n < 1:
+        raise ValueError("chain length must be at least 1")
+    nv = t.num_vertices
+    base = [[[t.M[a][b], t.R[a][b]] for b in range(nv)] for a in range(nv)]
+    power = [[[1] if a == b else [0] for b in range(nv)] for a in range(nv)]
+    for _ in range(n):
+        new = [[[0] for _ in range(nv)] for _ in range(nv)]
+        for a in range(nv):
+            for b in range(nv):
+                acc = [0]
+                for c in range(nv):
+                    acc = _poly_add(acc, _poly_mul(power[a][c], base[c][b], n))
+                new[a][b] = acc
+        power = new
+    trace = [0]
+    for a in range(nv):
+        trace = _poly_add(trace, power[a][a])
+    dims = {k: (trace[k] if k < len(trace) else 0) for k in range(n + 1)}
+    return SpectralCensus(N=n, dims=dims)
 
 
 def full_pipeline(term, tol=1e-9, seed=0):

@@ -1,6 +1,7 @@
 """CLI subcommand tests: formats, exit codes, determinism, piping."""
 
 import json
+import time
 
 import numpy as np
 
@@ -77,6 +78,32 @@ def test_census_ising(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["census"]["3"]["dims"] == {"0": 2, "1": 0, "2": 6, "3": 0}
+
+
+def test_census_past_the_bound_is_a_json_error(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["census", "--model", "fig2", "--N", "1000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "N=1000000" in json.loads(out)["error"]
+    assert elapsed < 1.0
+
+
+def test_integer_past_the_print_limit_is_a_json_error(capsys):
+    # The fig2 degeneracy at N=20000 is about 2^20000, 6021 digits: past
+    # Python's default int-to-str limit of 4300.
+    code, out = run_cli(capsys, ["degeneracy", "--model", "fig2", "--N", "20000"])
+    assert code == 1
+    assert json.loads(out)["error"].startswith("report not written")
+
+
+def test_malformed_matrix_is_a_json_error(tmp_path, capsys):
+    for matrix in ([[["1", "0"]] * 4] * 4, [[[1.0, 0.0, 0.0]] * 4] * 4, [[None] * 4] * 4):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 2, "matrix": matrix}))
+        code, out = run_cli(capsys, ["analyze", "--input", str(path)])
+        assert code == 1
+        assert "[re, im]" in json.loads(out)["error"]
 
 
 def test_ground_states_ising(capsys):

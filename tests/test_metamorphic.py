@@ -1,8 +1,10 @@
-"""Metamorphic properties of the commutator gate and the phase verdict.
+"""Metamorphic properties of the commutator gate, the verdict and the census.
 
 A local basis change U (x) U moves no physics: the Frobenius residual is
-unitarily invariant, and the verdict, the block dimensions and the
-degeneracy stay put.  Planted verdicts also hold across six decades of
+unitarily invariant, and the verdict, the block dimensions, the
+degeneracy and the energy census stay put.  The census is also unchanged
+by relabelling the graph's vertices (P M P^T, P R P^T) and by reversing
+its edges (M^T, R^T).  Planted verdicts also hold across six decades of
 ``tol``.  Hypothesis runs derandomized with a handful of examples, so
 the draws are the same on every run.
 """
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 from commchain import models
 from commchain._linalg import haar_unitary
 from commchain.canonical import classify_phase
+from commchain.groundspace import TransferMatrices, spectral_census
 from commchain.operators import LocalTerm, commutator_residual
+
+from conftest import full_pipeline
 
 SETTINGS = settings(max_examples=8, derandomize=True, deadline=None, database=None)
 
@@ -66,3 +71,42 @@ def test_planted_verdict_across_tol(small_corpus, index, exponent):
     rep = classify_phase(m.term, tol=10.0**exponent)
     assert rep.commuting and rep.error is None
     assert rep.scale_invariant == m.scale_invariant_planted
+
+
+def _transfer(term) -> TransferMatrices:
+    return TransferMatrices.from_graph(full_pipeline(term)[3])
+
+
+def _relabel(a, perm):
+    """P A P^T for the permutation matrix P of ``perm``."""
+    return [[a[i][j] for j in perm] for i in perm]
+
+
+def _square(nv: int):
+    row = st.lists(st.integers(0, 81), min_size=nv, max_size=nv)
+    return st.lists(row, min_size=nv, max_size=nv)
+
+
+_matrices = st.integers(1, 5).flatmap(
+    lambda nv: st.tuples(_square(nv), _square(nv), st.permutations(range(nv)))
+)
+
+
+@SETTINGS
+@given(mrp=_matrices, n=st.sampled_from([1, 2, 7, 8, 33, 64]))
+def test_census_invariant_under_relabelling_and_transposition(mrp, n):
+    m, r, perm = mrp
+    census = spectral_census(TransferMatrices(M=m, R=r), n).dims
+    relabelled = TransferMatrices(M=_relabel(m, perm), R=_relabel(r, perm))
+    transposed = TransferMatrices(M=[list(c) for c in zip(*m)], R=[list(c) for c in zip(*r)])
+    assert spectral_census(relabelled, n).dims == census
+    assert spectral_census(transposed, n).dims == census
+
+
+@SETTINGS
+@given(index=st.integers(0, 2), seed=st.integers(0, 2**31 - 1))
+def test_census_invariant_under_basis_change(index, seed):
+    term = _builtins()[index]
+    before, after = _transfer(term), _transfer(_rotate(term, seed))
+    for n in (2, 5, 40):
+        assert spectral_census(after, n).dims == spectral_census(before, n).dims
