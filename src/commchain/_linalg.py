@@ -5,7 +5,10 @@ Everything here works on plain complex numpy arrays.  Matrices are small
 Schmidt factors before they get here), so we always go through full
 SVD/eigh rather than iterative methods.  The JSON codec for complex
 arrays (nested [re, im] pairs) lives here too, so every report writes
-and reads them the same way.
+and reads them the same way.  ``complex_to_json`` returns a
+``ComplexArrayJSON``: a plain list to every reader, which also carries
+its float pairs as an array, so the report writer in ``cli`` can print
+it from a cached template instead of walking the nested lists.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "cluster_eigenvalues",
     "complete_orthonormal",
     "subspace_angle_sin",
+    "ComplexArrayJSON",
     "complex_to_json",
     "complex_from_json",
 ]
@@ -172,10 +176,24 @@ def subspace_angle_sin(a: np.ndarray, b: np.ndarray) -> float:
     return max(op_norm(ra), op_norm(rb))
 
 
-def complex_to_json(a) -> list:
+class ComplexArrayJSON(list):
+    """The nested [re, im] lists of a complex array, with ``pairs`` the same floats.
+
+    ``pairs`` has shape ``a.shape + (2,)``.  The list is not to be mutated:
+    the report writer prints ``pairs``, not the list.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: np.ndarray):
+        super().__init__(pairs.tolist())
+        self.pairs = pairs
+
+
+def complex_to_json(a) -> ComplexArrayJSON:
     """Nested lists of [re, im] float pairs for a complex array of any shape."""
     a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
+    return ComplexArrayJSON(np.stack((a.real, a.imag), -1))
 
 
 def complex_from_json(rows) -> np.ndarray:

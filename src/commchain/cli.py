@@ -5,18 +5,30 @@ term.  Every report embeds the seed and tolerance, all integers are exact,
 and outputs are byte-deterministic for a fixed (input, seed, tol).
 
 Exit codes: 0 success / classified, 2 non-commuting input, 3 commuting but
-not scale invariant, 1 I/O or numerical failure.
+not scale invariant, 1 I/O or numerical failure.  Subcommands raise; one
+dispatcher in ``main`` maps each error to its exit code and a JSON
+``error`` report.
+
+Reports are written as ``json.dumps(doc, indent=2)`` writes them, byte for
+byte.  The indented encoder is pure Python, so complex arrays (the codec's
+``ComplexArrayJSON`` values) are printed from one cached ``%``-template per
+shape and depth, filled with the ``float.__repr__`` of their entries;
+everything else goes through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import bridge as bridge_mod
 from . import models
-from ._linalg import complex_from_json, complex_to_json
+from ._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
 from .canonical import canonical_chain, canonical_hamiltonian, classify_phase
 from .decomposition import decompose_site
 from .ed import build_chain, integer_spectrum
@@ -35,9 +47,51 @@ class _ReportTooLarge(CommchainError):
     """An exact integer in the report is past the interpreter's int-to-str limit."""
 
 
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: tuple[int, ...], depth: int) -> str:
+    """Indented layout of a nested list of this shape opened at ``depth``, a %s per entry."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    inner = _array_template(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _holds_array(obj) -> bool:
+    if isinstance(obj, ComplexArrayJSON):
+        return True
+    if isinstance(obj, dict):
+        return any(_holds_array(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_array(v) for v in obj)
+    return False
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for a value opened at ``depth``."""
+    if isinstance(obj, ComplexArrayJSON):
+        pairs = obj.pairs
+        flat = pairs.ravel().tolist()
+        # json.dumps spells non-finite floats NaN, Infinity and -Infinity.
+        text = map(float.__repr__ if np.isfinite(pairs).all() else json.dumps, flat)
+        return _array_template(pairs.shape, depth) % tuple(text)
+    if _holds_array(obj):
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+            items = [f"{json.dumps(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items()]
+            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+        if isinstance(obj, (list, tuple)):
+            items = [_dumps(v, depth + 1) for v in obj]
+            return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    # A codec array is a list to json.dumps, so this is right for any value.
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _emit(doc: dict, path: str | None) -> None:
     try:
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _dumps(doc) + "\n"
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise _ReportTooLarge(f"report not written: {exc}") from exc
     if path in (None, "-"):
@@ -113,23 +167,14 @@ def _add_common(sub, needs_input=True):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        term = _load_term(args)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    term = _load_term(args)
     report = classify_phase(term, args.tol, args.seed)
     _emit(report.to_dict(), args.json)
     return report.exit_code()
 
 
 def cmd_graph(args) -> int:
-    try:
-        term = _load_term(args)
-        _, _, _, g = _pipeline(term, args.tol, args.seed)
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    _, _, _, g = _pipeline(_load_term(args), args.tol, args.seed)
     doc = g.to_dict()
     doc.update({"seed": args.seed, "tol": args.tol})
     if args.dot:
@@ -144,16 +189,47 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _log10_degeneracy(m: list[list[int]], n: int) -> float:
+    """Float64 estimate of log10 Tr(M^N) (-inf for a zero trace), in O(nv^3 log N).
+
+    Binary powering with every product rescaled to a largest entry of 1.
+    M is nonnegative, so no sum cancels and every entry keeps a relative
+    error of order nv * eps per product; entries that underflow only lower
+    the estimate.
+    """
+
+    def rescaled(a: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
+        top = float(a.max())
+        return (a / top, log_scale + math.log10(top)) if top > 0 else (a, log_scale)
+
+    base, result = np.asarray(m, dtype=float), np.eye(len(m))
+    log_base = log_result = 0.0
+    while n:
+        if n & 1:
+            result, log_result = rescaled(result @ base, log_result + log_base)
+        n >>= 1
+        if n:
+            base, log_base = rescaled(base @ base, 2.0 * log_base)
+    trace = float(np.trace(result))
+    return log_result + math.log10(trace) if trace > 0 else -math.inf
+
+
 def cmd_degeneracy(args) -> int:
-    try:
-        term = _load_term(args)
-        n_list = _parse_n_list(args.N)
-        _, _, _, g = _pipeline(term, args.tol, args.seed)
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    term = _load_term(args)
+    n_list = _parse_n_list(args.N)
+    _, _, _, g = _pipeline(term, args.tol, args.seed)
     t = TransferMatrices.from_graph(g)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7 has no limit
+    for n in n_list:
+        # Refuse before the exact powering when the float estimate of
+        # log10 Tr(M^N) is a decade past the print limit (0 means no limit).
+        estimate = _log10_degeneracy(t.M, n) if limit else -math.inf
+        if estimate >= limit + 1:
+            digits = math.floor(estimate) + 1
+            raise _ReportTooLarge(
+                f"report not written: the degeneracy at N={n} has about {digits} "
+                f"digits, past the {limit}-digit limit for integer string conversion"
+            )
     doc = {
         "degeneracy": {str(n): degeneracy(t, n) for n in n_list},
         "seed": args.seed,
@@ -164,30 +240,20 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        term = _load_term(args)
-        n_list = _parse_n_list(args.N)
-        _, _, _, g = _pipeline(term, args.tol, args.seed)
-        t = TransferMatrices.from_graph(g)
-        census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    term = _load_term(args)
+    n_list = _parse_n_list(args.N)
+    _, _, _, g = _pipeline(term, args.tol, args.seed)
+    t = TransferMatrices.from_graph(g)
+    census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
     doc = {"census": census, "seed": args.seed, "tol": args.tol}
     _emit(doc, args.json)
     return EXIT_OK
 
 
 def cmd_ground(args) -> int:
-    try:
-        term = _load_term(args)
-        n_list = _parse_n_list(args.N)
-        _, dec, bonds, _ = _pipeline(term, args.tol, args.seed)
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    term = _load_term(args)
+    n_list = _parse_n_list(args.N)
+    _, dec, bonds, _ = _pipeline(term, args.tol, args.seed)
     results = {}
     for n in n_list:
         gs = ground_states(dec, bonds, n, args.cap)
@@ -204,28 +270,17 @@ def cmd_canonical(args) -> int:
     if args.k is not None or args.d is not None:
         if args.k is None or args.d is None:
             return _fail("--k and --d must be given together", args)
-        try:
-            rep = canonical_hamiltonian(args.k, args.d)
-        except CommchainError as exc:
-            return _fail(str(exc), args)
+        rep = canonical_hamiltonian(args.k, args.d)
         _emit(
             {"canonical_rep": rep.to_dict(), "k": args.k, "seed": args.seed, "tol": args.tol},
             args.json,
         )
         return EXIT_OK
-    try:
-        term = _load_term(args)
-        p = projectorize(term, args.tol)
-        chk = check_commuting(p, args.tol)
-        if not chk.commuting:
-            raise _NotCommutingExit(chk.residual)
-        chain = canonical_chain(p, args.tol, args.seed)
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except NotScaleInvariant as exc:
-        return _fail(str(exc), args, EXIT_NOT_SCALE_INVARIANT)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    p = projectorize(_load_term(args), args.tol)
+    chk = check_commuting(p, args.tol)
+    if not chk.commuting:
+        raise _NotCommutingExit(chk.residual)
+    chain = canonical_chain(p, args.tol, args.seed)
     doc = {
         "k": chain.k,
         "canonical_rep": chain.canonical.to_dict() if chain.canonical else None,
@@ -240,14 +295,9 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        term = _load_term(args)
-        n_list = _parse_n_list(args.N)
-        p, dec, bonds, g = _pipeline(term, args.tol, args.seed)
-    except _NotCommutingExit as exc:
-        return _fail(str(exc), args, EXIT_NOT_COMMUTING)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+    term = _load_term(args)
+    n_list = _parse_n_list(args.N)
+    p, _, _, g = _pipeline(term, args.tol, args.seed)
     t = TransferMatrices.from_graph(g)
     all_ok = True
     rows = []
@@ -284,61 +334,58 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bridge(args) -> int:
-    try:
-        if args.action == "mps-parent":
-            if args.s_matrix:
-                doc = _read_doc(args.s_matrix)
-                m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
-            else:
-                m = bridge_mod.random_injective_map(args.chi, args.seed)
-            res = bridge_mod.mps_parent(m)
-            _emit(
-                {
-                    "h": res.h.to_dict(),
-                    "P": res.p.to_dict(),
-                    "S": res.s_map.to_dict(),
-                    "layout": res.layout,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                },
-                args.json,
-            )
-            return EXIT_OK
-        if args.action == "polar-normalize":
-            doc = _read_doc(args.input)
+    if args.action == "mps-parent":
+        if args.s_matrix:
+            doc = _read_doc(args.s_matrix)
             m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
-            _emit({**m.to_dict(), "seed": args.seed, "tol": args.tol}, args.json)
-            return EXIT_OK
-        if args.action == "solve-x":
-            doc = _read_doc(args.input)
-            h = LocalTerm.from_dict(doc["h"] if "h" in doc else doc, args.tol)
-            cand = bridge_mod.solve_x(h, args.tol, args.seed)
-            out = {"h": h.to_dict()}
-            out["x_candidate"] = cand.to_dict() if cand else {"status": "not_found"}
-            out.update({"seed": args.seed, "tol": args.tol})
-            _emit(out, args.json)
-            return EXIT_OK
-        if args.action == "commutify":
-            doc = _read_doc(args.input)
-            h = LocalTerm.from_dict(doc["h"], args.tol)
-            xc = doc.get("x_candidate", doc)
-            if "X" not in xc or xc.get("status") == "not_found":
-                return _fail("no X candidate in input document", args)
-            x = complex_from_json(xc["X"])
-            res = bridge_mod.commutify(h, x, args.tol)
-            _emit(
-                {
-                    "h_prime": res.h_prime.to_dict(),
-                    "certificate": res.certificate,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                },
-                args.json,
-            )
-            return EXIT_OK
-        return _fail(f"unknown bridge action {args.action!r}", args)
-    except (CommchainError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), args)
+        else:
+            m = bridge_mod.random_injective_map(args.chi, args.seed)
+        res = bridge_mod.mps_parent(m)
+        _emit(
+            {
+                "h": res.h.to_dict(),
+                "P": res.p.to_dict(),
+                "S": res.s_map.to_dict(),
+                "layout": res.layout,
+                "seed": args.seed,
+                "tol": args.tol,
+            },
+            args.json,
+        )
+        return EXIT_OK
+    if args.action == "polar-normalize":
+        doc = _read_doc(args.input)
+        m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
+        _emit({**m.to_dict(), "seed": args.seed, "tol": args.tol}, args.json)
+        return EXIT_OK
+    if args.action == "solve-x":
+        doc = _read_doc(args.input)
+        h = LocalTerm.from_dict(doc["h"] if "h" in doc else doc, args.tol)
+        cand = bridge_mod.solve_x(h, args.tol, args.seed)
+        out = {"h": h.to_dict()}
+        out["x_candidate"] = cand.to_dict() if cand else {"status": "not_found"}
+        out.update({"seed": args.seed, "tol": args.tol})
+        _emit(out, args.json)
+        return EXIT_OK
+    if args.action == "commutify":
+        doc = _read_doc(args.input)
+        h = LocalTerm.from_dict(doc["h"], args.tol)
+        xc = doc.get("x_candidate", doc)
+        if "X" not in xc or xc.get("status") == "not_found":
+            return _fail("no X candidate in input document", args)
+        x = complex_from_json(xc["X"])
+        res = bridge_mod.commutify(h, x, args.tol)
+        _emit(
+            {
+                "h_prime": res.h_prime.to_dict(),
+                "certificate": res.certificate,
+                "seed": args.seed,
+                "tol": args.tol,
+            },
+            args.json,
+        )
+        return EXIT_OK
+    return _fail(f"unknown bridge action {args.action!r}", args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,12 +450,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error a subcommand may raise, in the order of the
+# checks: NotScaleInvariant is a CommchainError, JSONDecodeError a ValueError.
+_EXIT_CODES = {
+    _NotCommutingExit: EXIT_NOT_COMMUTING,
+    NotScaleInvariant: EXIT_NOT_SCALE_INVARIANT,
+    CommchainError: EXIT_FAILURE,
+    OSError: EXIT_FAILURE,
+    ValueError: EXIT_FAILURE,
+    KeyError: EXIT_FAILURE,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ReportTooLarge as exc:
-        return _fail(str(exc), args)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        return _fail(str(exc), args, code)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,13 @@ claim (degeneracy, energy census, ground-space identities).  It builds the
 full d^N-dimensional Hamiltonian as a dense matrix, with a hard size cap,
 writing each bond's d^2 nonzeros per column by scatter.  The only
 structure it uses is the translation T of the ring, which commutes with H
-by construction and is checked on every build: the spectrum is the union
-of the spectra of the N momentum blocks H_k (the momentum-state method of
-Sandvik, arXiv:1101.3281, section 4).  Nothing of the commuting structure
-that the oracle is meant to check enters here.
+by construction and is checked on every build: H is diagonalized one
+momentum block H_k at a time (the momentum-state method of Sandvik,
+arXiv:1101.3281, section 4).  The spectrum is the union of the block
+spectra, and the kernel is computed by sector too: each block's kernel
+vectors are expanded back into the full basis through the momentum
+states.  Nothing of the commuting structure that the oracle is meant to
+check enters here.
 """
 
 from __future__ import annotations
@@ -98,21 +101,9 @@ def build_chain(p: LocalTerm, n: int, cap: int = DEFAULT_CAP) -> ChainHamiltonia
     return ChainHamiltonian(N=n, d=d, matrix=h)
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(matrix.imag)) == 0.0:
-        return np.linalg.eigvalsh(matrix.real)
-    return np.linalg.eigvalsh(matrix)
-
-
-def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, np.ndarray]:
-    """Kernel dimension and an orthonormal kernel basis (columns).
-
-    The spectra here are sums of projectors, so an absolute tolerance on
-    the eigenvalues is appropriate.
-    """
-    w, v = np.linalg.eigh(chain.matrix)
-    mask = w < tol
-    return int(np.sum(mask)), v[:, mask]
+def _real_if_exact(matrix: np.ndarray) -> np.ndarray:
+    """The real part when the imaginary part is exactly zero, for the real solvers."""
+    return matrix.real if np.max(np.abs(matrix.imag)) == 0.0 else matrix
 
 
 def _translation_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,11 +125,13 @@ def _translation_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _momentum_blocks(chain: ChainHamiltonian):
-    """Yield H_k for each lattice momentum k = 0..N-1 that has states.
+    """Yield (orbits, periods, phases, H_k) for each lattice momentum k = 0..N-1 with states.
 
     The momentum state of representative r is |r,k> = p_r^{-1/2}
     sum_{l<p_r} e^{-2 pi i k l/N} T^l |r>; it exists when k p_r = 0 mod N.
-    Since H commutes with T (checked in ``build_chain``),
+    ``orbits[l, i] = T^l r_i`` and ``periods`` cover those representatives,
+    and ``phases[l]`` is e^{-2 pi i k l/N}.  Since H commutes with T
+    (checked in ``build_chain``),
     <r,k|H|r',k> = sqrt(p_r p_r')/N sum_{l<N} e^{-2 pi i k l/N} H[r, T^l r'].
     """
     n = chain.N
@@ -156,7 +149,31 @@ def _momentum_blocks(chain: ChainHamiltonian):
         phases.imag[np.abs(phases.imag) < 1e-12] = 0.0
         block = (phases @ gathered).reshape(reps.size, reps.size)[np.ix_(keep, keep)]
         amp = np.sqrt(period[keep] / n)
-        yield block * np.outer(amp, amp)
+        yield images[:, keep], period[keep], phases, block * np.outer(amp, amp)
+
+
+def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, np.ndarray]:
+    """Kernel dimension and an orthonormal kernel basis (columns).
+
+    Each momentum block's kernel vectors c are expanded into the full
+    basis as sum_i c_i |r_i,k>.  Momentum states are orthonormal, within a
+    sector and across sectors, so the columns are too.  The spectra here
+    are sums of projectors, so an absolute tolerance on the eigenvalues is
+    appropriate.
+    """
+    size = chain.matrix.shape[0]
+    cols = [np.zeros((size, 0), dtype=complex)]
+    for orbits, periods, phases, block in _momentum_blocks(chain):
+        w, c = np.linalg.eigh(_real_if_exact(block))
+        c = c[:, w < tol] / np.sqrt(periods)[:, None]
+        v = np.zeros((size, c.shape[1]), dtype=complex)
+        # T^l r for l < p_r are the distinct members of the orbit of r.
+        for step in range(chain.N):
+            on = step < periods
+            v[orbits[step, on]] = phases[step] * c[on]
+        cols.append(v)
+    basis = np.concatenate(cols, axis=1)
+    return basis.shape[1], basis
 
 
 def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[int, int]:
@@ -165,7 +182,10 @@ def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[
     The eigenvalues are gathered sector by sector from the momentum blocks.
     A non-integral eigenvalue signals a non-commuting local term.
     """
-    w = np.concatenate([_eigvalsh(block) for block in _momentum_blocks(chain)])
+    # One block at a time: only its eigenvalues are kept.
+    w = np.concatenate(
+        [np.linalg.eigvalsh(_real_if_exact(block)) for *_, block in _momentum_blocks(chain)]
+    )
     rounded = np.rint(w)
     worst = float(np.max(np.abs(w - rounded)))
     if worst > tol:

@@ -99,6 +99,13 @@ def bigint_census(t: TransferMatrices, n: int) -> SpectralCensus:
     return SpectralCensus(N=n, dims=dims)
 
 
+def dense_kernel(chain, tol: float = 1e-8) -> tuple[int, np.ndarray]:
+    """Reference kernel: one dense eigh of the whole d^N x d^N chain matrix."""
+    w, v = np.linalg.eigh(chain.matrix)
+    mask = w < tol
+    return int(np.sum(mask)), v[:, mask]
+
+
 def full_pipeline(term, tol=1e-9, seed=0):
     """projectorize -> decompose -> bonds -> graph for tests."""
     p = term if isinstance(term, ProjectorTerm) else projectorize(term, tol)

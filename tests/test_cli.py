@@ -1,12 +1,15 @@
 """CLI subcommand tests: formats, exit codes, determinism, piping."""
 
 import json
+import math
 import time
 
 import numpy as np
 
-from commchain import models
+from commchain import cli, models
+from commchain._linalg import complex_to_json
 from commchain.cli import main
+from commchain.groundspace import TransferMatrices, degeneracy
 
 
 def run_cli(capsys, argv):
@@ -95,6 +98,48 @@ def test_integer_past_the_print_limit_is_a_json_error(capsys):
     code, out = run_cli(capsys, ["degeneracy", "--model", "fig2", "--N", "20000"])
     assert code == 1
     assert json.loads(out)["error"].startswith("report not written")
+
+
+def test_degeneracy_far_past_the_print_limit_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["degeneracy", "--model", "fig2", "--N", "10000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error.startswith("report not written") and "N=10000000" in error
+    assert elapsed < 1.0
+
+
+def test_degeneracy_at_the_print_limit_stays_exact(capsys):
+    # fig2 has Tr(M^N) = 2^N.  N = 14284 has 4300 digits, the most that
+    # prints; N = 14285 has 4301, within the estimate's one-decade margin,
+    # so the exact value is computed and the writer refuses it.
+    code, out = run_cli(capsys, ["degeneracy", "--model", "fig2", "--N", "14284"])
+    assert code == 0
+    assert json.loads(out)["degeneracy"]["14284"] == 2**14284
+    code, out = run_cli(capsys, ["degeneracy", "--model", "fig2", "--N", "14285"])
+    assert code == 1
+    assert json.loads(out)["error"].startswith("report not written: Exceeds the limit")
+
+
+def test_degeneracy_estimate_tracks_the_exact_value():
+    fig2_m = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]]
+    # fig2, a nilpotent edge, one heavy loop, a transient edge, mixed weights
+    for m in (fig2_m, [[0, 1], [0, 0]], [[3]], [[1, 0], [2, 1]], [[81, 0], [0, 2]]):
+        t = TransferMatrices(M=m, R=[[0] * len(m)] * len(m))
+        for n in (1, 2, 7, 64, 1001):
+            exact = degeneracy(t, n)
+            estimate = cli._log10_degeneracy(m, n)
+            if exact == 0:
+                assert estimate == -math.inf
+            else:
+                assert abs(estimate - math.log10(exact)) < 1e-9, (m, n)
+
+
+def test_scale_invariant_degeneracy_at_large_n_is_exact(capsys):
+    code, out = run_cli(capsys, ["degeneracy", "--model", "ising", "--N", "10000000,10000001"])
+    assert code == 0
+    assert json.loads(out)["degeneracy"] == {"10000000": 2, "10000001": 2}
 
 
 def test_malformed_matrix_is_a_json_error(tmp_path, capsys):
@@ -238,3 +283,40 @@ def test_determinism_synthesized_input(tmp_path, capsys):
         code, out = run_cli(capsys, ["analyze", "--input", str(path), "--seed", "3"])
         outs.append((code, out))
     assert outs[0] == outs[1]
+
+
+def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
+    emitted = []
+    emit = cli._emit
+
+    def spy(doc, path):
+        emitted.append((doc, path))
+        emit(doc, path)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    s_path = tmp_path / "s.json"
+    s_path.write_text(json.dumps({"S": complex_to_json(np.diag([2.0, 1j, 1.0, 0.5]))}))
+    parent, solved = tmp_path / "parent.json", tmp_path / "solved.json"
+    runs = [
+        ["analyze", "--model", "ising"],
+        ["analyze", "--model", "fig2"],
+        ["analyze", "--model", "nosuch"],
+        ["graph", "--model", "zero(3)"],
+        ["degeneracy", "--model", "fig2", "--N", "2..6"],
+        ["census", "--model", "ising", "--N", "3,5"],
+        ["ground", "--model", "zero(2)", "--N", "3"],
+        ["canonical", "--model", "ising"],
+        ["canonical", "--k", "2", "--d", "3"],
+        ["verify", "--model", "fig2", "--N", "2..3"],
+        ["bridge", "mps-parent", "--chi", "2", "--seed", "3", "--json", str(parent)],
+        ["bridge", "solve-x", "--input", str(parent), "--json", str(solved)],
+        ["bridge", "commutify", "--input", str(solved)],
+        ["bridge", "polar-normalize", "--input", str(s_path)],
+    ]
+    for i, argv in enumerate(runs):
+        main(argv if "--json" in argv else argv + ["--json", str(tmp_path / f"out{i}.json")])
+    capsys.readouterr()
+    assert len(emitted) == len(runs)
+    for doc, path in emitted:
+        with open(path) as fh:
+            assert fh.read() == json.dumps(doc, indent=2) + "\n", path

@@ -5,18 +5,21 @@ import pytest
 
 from commchain import models
 from commchain._linalg import haar_unitary
+from commchain.canonical import _check_same_chain_kernel, canonical_hamiltonian
 from commchain.ed import (
+    KERNEL_TOL,
     _build_defects,
+    _translation_orbits,
     apply_sitewise,
     build_chain,
     integer_spectrum,
     kernel_dim,
     same_subspace,
 )
-from commchain.errors import NonIntegerSpectrum, TooLarge
+from commchain.errors import CommchainError, NonIntegerSpectrum, TooLarge
 from commchain.operators import ProjectorTerm, synthesize_local_term
 
-from commchain.canonical import canonical_hamiltonian
+from conftest import dense_kernel
 
 
 def dense_spectrum(matrix: np.ndarray) -> dict[int, int]:
@@ -40,12 +43,14 @@ def kron_chain(op: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def synthesized_terms():
-    """Complex synthesized commuting terms at d = 3..6."""
+    """Complex synthesized commuting terms at d = 3..8."""
     specs = [
         ([(1, 1), (1, 2)], [[1, 1], [0, 1]]),
         ([(1, 2), (2, 1)], [[1, 2], [0, 1]]),
         ([(1, 1), (2, 2)], [[1, 1], [0, 2]]),
         ([(1, 2), (1, 1), (3, 1)], [[1, 1, 2], [0, 1, 1], [0, 0, 1]]),
+        ([(1, 1), (1, 2), (2, 2)], [[1, 1, 1], [0, 1, 2], [0, 0, 1]]),
+        ([(2, 2), (2, 2)], [[1, 2], [0, 1]]),
     ]
     return [
         (f"synth_d{sum(l * r for l, r in b)}", synthesize_local_term(b, kd, 11)) for b, kd in specs
@@ -195,3 +200,68 @@ def test_sector_spectrum_matches_dense_synthesized():
             ch = build_chain(p, n)
             assert integer_spectrum(ch) == dense_spectrum(ch.matrix), (name, n)
 
+
+
+def assert_kernel_matches_dense(ch) -> int:
+    """Sector kernel against the dense reference: dimension, subspace, orthonormality."""
+    dim, basis = kernel_dim(ch)
+    ref_dim, ref = dense_kernel(ch, KERNEL_TOL)
+    assert dim == ref_dim == basis.shape[1]
+    assert basis.shape[0] == ch.matrix.shape[0]
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0) <= 1e-12
+    assert same_subspace(basis, ref)
+    return dim
+
+
+@pytest.mark.parametrize(
+    "name,ns",
+    [
+        ("ising", range(2, 11)),
+        ("fig2", range(2, 6)),
+        ("zero(1)", range(2, 7)),
+        ("zero(3)", range(2, 6)),  # every state is in the kernel, on orbits of every period
+    ],
+)
+def test_sector_kernel_matches_dense_builtins(name, ns):
+    p = models.builtin(name)
+    for n in ns:
+        assert_kernel_matches_dense(build_chain(p, n))
+
+
+def test_sector_kernel_matches_dense_synthesized():
+    for name, p in synthesized_terms():
+        assert np.max(np.abs(p.op.imag)) > 0, name
+        for n in (2, 3, 4, 6):
+            if p.d**n > 512:  # the limit of the kernel checks
+                continue
+            assert_kernel_matches_dense(build_chain(p, n))
+    assert p.d == 8  # the last term reaches d^N = 512
+
+
+def test_sector_kernel_holds_states_of_short_period():
+    # Ising at N = 6: the kernel is |000000> and |111111>, both of period 1,
+    # and the orbits of periods 2 and 3 (|010101>, |001001>) exist too.
+    n = 6
+    _, period = _translation_orbits(2, n)
+    assert set(period.tolist()) == {1, 2, 3, 6}
+    dim, basis = kernel_dim(build_chain(models.ising(), n))
+    assert dim == 2
+    assert {int(np.argmax(np.abs(basis[:, k]))) for k in range(2)} == {0, 2**n - 1}
+    # zero(2) at N = 4 keeps every state, so every momentum sector and period.
+    assert assert_kernel_matches_dense(build_chain(models.zero(2), 4)) == 16
+
+
+def test_kernel_check_detects_a_kernel_off_by_1e_6():
+    p = synthesized_terms()[0][1]
+    _check_same_chain_kernel(p, p)
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((p.d, p.d)) + 1j * rng.standard_normal((p.d, p.d))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
+    u = (v * np.exp(1e-6j * w)) @ v.conj().T  # a site rotation by about 1e-6
+    uu = np.kron(u, u)
+    moved = ProjectorTerm(p.d, uu @ p.op @ uu.conj().T)
+    ka = kernel_dim(build_chain(p, 3))[1]
+    kb = kernel_dim(build_chain(moved, 3))[1]
+    assert 1e-7 < np.linalg.norm(kb - ka @ (ka.conj().T @ kb), 2) < 1e-5
+    with pytest.raises(CommchainError, match="chain kernels differ"):
+        _check_same_chain_kernel(p, moved)

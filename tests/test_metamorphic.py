@@ -1,13 +1,16 @@
 """Metamorphic properties of the commutator gate, the verdict and the census.
 
 A local basis change U (x) U moves no physics: the Frobenius residual is
-unitarily invariant, and the verdict, the block dimensions, the
-degeneracy and the energy census stay put.  The census is also unchanged
+unitarily invariant, the verdict, the block dimensions, the degeneracy
+and the energy census stay put, and the graph's M and R change only by a
+relabelling of the vertices.  The census is also unchanged
 by relabelling the graph's vertices (P M P^T, P R P^T) and by reversing
 its edges (M^T, R^T).  Planted verdicts also hold across six decades of
 ``tol``.  Hypothesis runs derandomized with a handful of examples, so
 the draws are the same on every run.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,6 +65,20 @@ def test_basis_change_keeps_verdict(small_corpus, index, seed):
     assert rot.scale_invariant == rep.scale_invariant
     assert sorted(rot.block_dims) == sorted(rep.block_dims)
     assert rot.degeneracy == rep.degeneracy
+
+
+@SETTINGS
+@given(index=st.integers(0, 14), seed=st.integers(0, 2**31 - 1))
+def test_basis_change_permutes_graph(small_corpus, index, seed):
+    terms = _builtins() + [m.term for m in small_corpus]
+    term = terms[index]
+    g, rot = full_pipeline(term)[3], full_pipeline(_rotate(term, seed))[3]
+    assert rot.num_vertices == g.num_vertices
+    m, r = g.M.tolist(), g.R.tolist()
+    assert any(
+        _relabel(m, perm) == rot.M.tolist() and _relabel(r, perm) == rot.R.tolist()
+        for perm in itertools.permutations(range(g.num_vertices))
+    )
 
 
 @SETTINGS
