@@ -1,9 +1,9 @@
 """Analysis toolkit for translation-invariant commuting 1D spin chains.
 
-Pipeline: a hermitian two-site term is projectorized, tested for
-commutativity, and its single-site space is block-decomposed; the bond
-projectors between blocks define a weighted directed graph whose cycles
-carry the entire ground-space structure.  On top of that the package
+Pipeline: ``Analysis(term)`` projectorizes a hermitian two-site term,
+tests it for commutativity and block-decomposes its single-site space;
+the bond projectors between blocks define a weighted directed graph whose
+cycles carry the entire ground-space structure.  On top of that the package
 computes exact degeneracies and energy censuses for any chain length,
 decides scale invariance, produces the canonical representative of the
 phase, and bridges non-commuting frustration-free terms to commuting ones.
@@ -11,6 +11,7 @@ phase, and bridges non-commuting frustration-free terms to commuting ones.
 
 from .bridge import commutify, mps_parent, polar_normalize, solve_x, verify_x
 from .canonical import (
+    Analysis,
     canonical_chain,
     canonical_hamiltonian,
     classify_phase,

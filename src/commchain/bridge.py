@@ -189,7 +189,7 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
     at one small chain length that the kernel of the new chain maps onto
     the kernel of the old one under sitewise X^(1/2).
     """
-    from .ed import apply_sitewise, build_chain, kernel_dim, same_subspace
+    from .ed import apply_sitewise, build_chain, kernel_check_length, kernel_dim, same_subspace
 
     check = verify_x(h, x, tol)
     if not check.pd:
@@ -206,8 +206,7 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
         raise CommutificationFailed(
             f"conjugated term is not commuting (residual {resid:.3e}); X is invalid"
         )
-    d = h.d
-    n = 3 if d**3 <= 512 else 2
+    n = kernel_check_length(h.d)
     cert: dict = {
         "commutator_residual": float(resid),
         "x_residual": float(check.residual),
@@ -215,7 +214,7 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
         "kernel_n": None,
         "kernel_match": None,
     }
-    if d**n <= 512:
+    if n is not None:
         kp = kernel_dim(build_chain(h_prime, n))[1]
         kh = kernel_dim(build_chain(h, n))[1]
         mapped = apply_sitewise(root, n, kp)

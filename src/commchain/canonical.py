@@ -1,7 +1,8 @@
-"""Canonical form pipeline for scale-invariant commuting chains.
+"""Staged analysis of one term, and the canonical form of its phase.
 
-Three ground-space-preserving moves bring a scale-invariant term to a
-normal form determined only by its degeneracy k:
+``Analysis`` is the one path from a two-site term to its graph and
+verdict.  Three ground-space-preserving moves then bring a scale-invariant
+term to a normal form determined only by its degeneracy k:
 
 1. prune: replace every bond projector that is not a weight-1 self-loop
    by the identity, leaving a graph of bare loops;
@@ -9,7 +10,7 @@ normal form determined only by its degeneracy k:
    each loop kernel vector into a product of reference vectors;
 3. normal form: the projector 1 - sum_a |aa><aa| over k basis states.
 
-The phase report bundles the full pipeline verdicts; two scale-invariant
+The phase report bundles the pipeline verdicts; two scale-invariant
 commuting terms are in the same phase exactly when their degeneracies
 agree.
 """
@@ -17,6 +18,7 @@ agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import (
     CommchainError,
     DegenerateLoopKernel,
     InvalidK,
+    NotCommuting,
     NotScaleInvariant,
 )
 from .graph import BondFactor, InteractionGraph, build_graph, extract_bond_projectors
@@ -37,6 +40,7 @@ from .groundspace import (
 )
 from .operators import (
     DEFAULT_TOL,
+    CommutingCheck,
     LocalTerm,
     ProjectorTerm,
     assemble_two_site,
@@ -45,6 +49,7 @@ from .operators import (
 )
 
 __all__ = [
+    "Analysis",
     "DisentanglerSpec",
     "PhaseReport",
     "prune_to_loops",
@@ -57,22 +62,58 @@ __all__ = [
 ]
 
 
-def prune_to_loops(
-    p: ProjectorTerm,
-    dec: SiteDecomposition,
-    bonds: list[list[BondFactor]],
-    tol: float = DEFAULT_TOL,
-    verify: bool = True,
-) -> ProjectorTerm:
-    """Replace every non-loop bond projector by the identity.
+class Analysis:
+    """The pipeline of one term, each stage computed once, on first access.
+
+    ``p`` validates a ``ProjectorTerm`` and uses it as given (a mislabelled
+    one is an error) and projectorizes any other term; ``commuting`` is the
+    commutator gate at ``tol``; ``dec`` raises ``NotCommuting`` when the
+    gate failed; ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
+    raises is not cached, so the next access raises again.
+    """
+
+    def __init__(self, term: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0):
+        self.term, self.tol, self.seed = term, tol, seed
+
+    @cached_property
+    def p(self) -> ProjectorTerm:
+        if isinstance(self.term, ProjectorTerm):
+            self.term.validate()
+            return self.term
+        return projectorize(self.term, self.tol)
+
+    @cached_property
+    def commuting(self) -> CommutingCheck:
+        return check_commuting(self.p, self.tol)
+
+    @cached_property
+    def dec(self) -> SiteDecomposition:
+        if not self.commuting.commuting:
+            raise NotCommuting(self.commuting.residual)
+        return decompose_site(self.p, self.tol, self.seed)
+
+    @cached_property
+    def bonds(self) -> list[list[BondFactor]]:
+        return extract_bond_projectors(self.p, self.dec, self.tol)
+
+    @cached_property
+    def graph(self) -> InteractionGraph:
+        return build_graph(self.bonds)
+
+    @cached_property
+    def verdict(self) -> ScaleInvarianceVerdict:
+        return check_scale_invariance(self.graph)
+
+
+def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
+    """Replace every non-loop bond projector of ``analysis.p`` by the identity.
 
     Requires a scale-invariant graph.  The result is a commuting projector
     whose graph consists of the original self-loops and nothing else, with
-    the same chain kernel; when ``verify`` is set the kernel equality is
-    checked by dense diagonalization at one small chain length.
+    the same chain kernel; the kernel equality is checked by dense
+    diagonalization at one small chain length.
     """
-    g = build_graph(bonds)
-    verdict = check_scale_invariance(g)
+    verdict, dec, bonds = analysis.verdict, analysis.dec, analysis.bonds
     if not verdict.scale_invariant:
         raise NotScaleInvariant(f"witness: {verdict.witness.to_dict()}")
 
@@ -85,20 +126,18 @@ def prune_to_loops(
     op = assemble_two_site(dec.d, dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
     pruned = ProjectorTerm(dec.d, (op + la.dag(op)) / 2.0)
     pruned.validate()
-    chk = check_commuting(pruned, max(tol, 1e-10))
+    chk = check_commuting(pruned, max(analysis.tol, 1e-10))
     if not chk.commuting:
         raise CommchainError(f"pruned term not commuting (residual {chk.residual:.3e})")
-    if verify:
-        _check_same_chain_kernel(p, pruned)
+    _check_same_chain_kernel(analysis.p, pruned)
     return pruned
 
 
-def _check_same_chain_kernel(a: LocalTerm, b: LocalTerm, limit: int = 512) -> None:
-    from .ed import build_chain, kernel_dim, same_subspace
+def _check_same_chain_kernel(a: LocalTerm, b: LocalTerm) -> None:
+    from .ed import build_chain, kernel_check_length, kernel_dim, same_subspace
 
-    d = a.d
-    n = 3 if d**3 <= limit else 2
-    if d**n > limit:
+    n = kernel_check_length(a.d)
+    if n is None:
         return
     ka = kernel_dim(build_chain(a, n))[1]
     kb = kernel_dim(build_chain(b, n))[1]
@@ -110,39 +149,28 @@ def _check_same_chain_kernel(a: LocalTerm, b: LocalTerm, limit: int = 512) -> No
 class DisentanglerSpec:
     """Block-diagonal two-site unitary sending loop states to products."""
 
-    refs: dict[int, tuple[np.ndarray, np.ndarray]]  # block -> (xi_r, xi_l)
-    loop_blocks: list[int]
+    refs: dict[int, tuple[np.ndarray, np.ndarray]]  # loop block -> (xi_r, xi_l), in loop order
     u: np.ndarray  # unitary on C^{d^2}
 
 
 def disentangling_unitary(
-    dec: SiteDecomposition,
-    loops: list[GroundLoopState],
-    refs: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-    tol: float = DEFAULT_TOL,
+    dec: SiteDecomposition, loops: list[GroundLoopState], tol: float = DEFAULT_TOL
 ) -> DisentanglerSpec:
     """Unitary acting as U_a on each loop bond block, identity elsewhere.
 
-    U_a maps the loop kernel vector to xi_r (x) xi_l; the references
-    default to the first standard basis vector of each factor.  The
-    assembled operator is block-diagonal for the four-index two-site
-    decomposition, hence conjugation preserves commutativity.
+    U_a maps the loop kernel vector to xi_r (x) xi_l, the first standard
+    basis vector of each factor.  The assembled operator is block-diagonal
+    for the four-index two-site decomposition, hence conjugation preserves
+    commutativity.
     """
     chosen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     small_us: dict[int, np.ndarray] = {}
     for st in loops:
         blk = dec.blocks[st.block]
-        if refs is not None and st.block in refs:
-            xi_r, xi_l = refs[st.block]
-            xi_r = np.asarray(xi_r, dtype=complex)
-            xi_l = np.asarray(xi_l, dtype=complex)
-        else:
-            xi_r = np.zeros(blk.r, dtype=complex)
-            xi_r[0] = 1.0
-            xi_l = np.zeros(blk.l, dtype=complex)
-            xi_l[0] = 1.0
-        if abs(np.linalg.norm(xi_r) - 1) > 1e-10 or abs(np.linalg.norm(xi_l) - 1) > 1e-10:
-            raise ValueError("reference vectors must be unit vectors")
+        xi_r = np.zeros(blk.r, dtype=complex)
+        xi_r[0] = 1.0
+        xi_l = np.zeros(blk.l, dtype=complex)
+        xi_l[0] = 1.0
         target = np.kron(xi_r, xi_l)
         b1 = la.complete_orthonormal(st.phi)
         b2 = la.complete_orthonormal(target)
@@ -164,7 +192,7 @@ def disentangling_unitary(
     unit_defect = la.op_norm(u @ la.dag(u) - np.eye(dec.d**2))
     if unit_defect > np.sqrt(tol):
         raise CommchainError(f"disentangler not unitary (defect {unit_defect:.3e})")
-    return DisentanglerSpec(refs=chosen, loop_blocks=[s.block for s in loops], u=u)
+    return DisentanglerSpec(refs=chosen, u=u)
 
 
 def conjugate_term(p: ProjectorTerm, u: np.ndarray) -> ProjectorTerm:
@@ -245,34 +273,28 @@ _CONVENTION_NOTES = [
 
 
 def classify_phase(term: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0) -> PhaseReport:
-    """Run the full pipeline and report the phase of the input term."""
+    """Run the staged analysis of ``term`` and report its phase."""
+    a = Analysis(term, tol, seed)
     report = PhaseReport(tol=tol, seed=seed, notes=list(_CONVENTION_NOTES))
     try:
-        if isinstance(term, ProjectorTerm):
-            term.validate()
-            p = term
-        else:
-            p = projectorize(term, tol)
+        p = a.p
     except (CommchainError, ValueError) as exc:
         report.error = str(exc)
         report.stage = "projectorize"
         return report
-    chk = check_commuting(p, tol)
-    report.commuting = chk.commuting
-    report.commutator_residual = chk.residual
-    if not chk.commuting:
+    report.commuting = a.commuting.commuting
+    report.commutator_residual = a.commuting.residual
+    if not report.commuting:
         report.stage = "check_commuting"
         return report
     try:
-        dec = decompose_site(p, tol, seed)
-        report.block_dims = dec.block_dims
-        bonds = extract_bond_projectors(p, dec, tol)
-        report.graph = build_graph(bonds)
+        report.block_dims = a.dec.block_dims
+        report.graph = a.graph
     except CommchainError as exc:
         report.error = str(exc)
         report.stage = "decomposition"
         return report
-    report.verdict = check_scale_invariance(report.graph)
+    report.verdict = a.verdict
     if not report.verdict.scale_invariant:
         report.stage = "scale_invariance"
         return report
@@ -300,39 +322,24 @@ class CanonicalChain:
     site_states: list[np.ndarray]  # per-loop one-site reference state in C^d
 
 
-def canonical_chain(
-    p: ProjectorTerm,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    refs: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-    verify: bool = True,
-) -> CanonicalChain:
+def canonical_chain(analysis: Analysis) -> CanonicalChain:
     """prune -> disentangle -> normal form, with the loop site states.
 
     After conjugation the chain ground space is spanned by the product
     states s_a^(x N) with s_a = W_a (xi_l (x) xi_r); these site states are
     returned so callers can verify the kernel identity.
     """
-    dec = decompose_site(p, tol, seed)
-    bonds = extract_bond_projectors(p, dec, tol)
-    g = build_graph(bonds)
-    verdict = check_scale_invariance(g)
-    if not verdict.scale_invariant:
-        raise NotScaleInvariant(f"witness: {verdict.witness.to_dict()}")
-    for a in verdict.loops:
+    pruned = prune_to_loops(analysis)
+    dec, bonds, loops = analysis.dec, analysis.bonds, analysis.verdict.loops
+    for a in loops:
         if bonds[a][a].kernel_dim != 1:
-            raise DegenerateLoopKernel(
-                f"loop {a} has kernel dimension {bonds[a][a].kernel_dim}"
-            )
-    pruned = prune_to_loops(p, dec, bonds, tol, verify=verify)
-    loops = loop_states(bonds)
-    disent = disentangling_unitary(dec, loops, refs, tol)
+            raise DegenerateLoopKernel(f"loop {a} has kernel dimension {bonds[a][a].kernel_dim}")
+    disent = disentangling_unitary(dec, loop_states(bonds), analysis.tol)
     conjugated = conjugate_term(pruned, disent.u)
-    k = len(verdict.loops)
-    canonical = canonical_hamiltonian(k, p.d) if k >= 1 else None
+    k = len(loops)
+    canonical = canonical_hamiltonian(k, dec.d) if k >= 1 else None
     site_states = []
-    for a in disent.loop_blocks:
-        xi_r, xi_l = disent.refs[a]
+    for a, (xi_r, xi_l) in disent.refs.items():
         site_states.append(dec.blocks[a].isometry @ np.kron(xi_l, xi_r))
     return CanonicalChain(
         dec=dec,

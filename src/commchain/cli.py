@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands wrap the analysis stages over a builtin model or a JSON local
-term.  Every report embeds the seed and tolerance, all integers are exact,
-and outputs are byte-deterministic for a fixed (input, seed, tol).
+Subcommands read the stages of one ``canonical.Analysis`` of a builtin
+model or a JSON local term.  Every report embeds the seed and tolerance,
+all integers are exact, and outputs are byte-deterministic for a fixed
+(input, seed, tol).
 
 Exit codes: 0 success / classified, 2 non-commuting input, 3 commuting but
 not scale invariant, 1 I/O or numerical failure.  Subcommands raise; one
@@ -29,13 +30,12 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import models
 from ._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
-from .canonical import canonical_chain, canonical_hamiltonian, classify_phase
-from .decomposition import decompose_site
+from .canonical import Analysis, canonical_chain, canonical_hamiltonian, classify_phase
 from .ed import build_chain, integer_spectrum
-from .errors import CommchainError, NotScaleInvariant
-from .graph import build_graph, export_dot, extract_bond_projectors
+from .errors import CommchainError, NotCommuting, NotScaleInvariant
+from .graph import export_dot
 from .groundspace import TransferMatrices, degeneracy, ground_states, spectral_census
-from .operators import DEFAULT_TOL, LocalTerm, check_commuting, projectorize
+from .operators import DEFAULT_TOL, LocalTerm
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -140,23 +140,6 @@ def _parse_n_list(spec: str) -> list[int]:
     return out
 
 
-def _pipeline(term: LocalTerm, tol: float, seed: int):
-    """projectorize -> commutativity gate -> decomposition -> graph."""
-    p = projectorize(term, tol)
-    chk = check_commuting(p, tol)
-    if not chk.commuting:
-        raise _NotCommutingExit(chk.residual)
-    dec = decompose_site(p, tol, seed)
-    bonds = extract_bond_projectors(p, dec, tol)
-    return p, dec, bonds, build_graph(bonds)
-
-
-class _NotCommutingExit(Exception):
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"term is not commuting (residual {residual:.6e})")
-
-
 def _add_common(sub, needs_input=True):
     if needs_input:
         sub.add_argument("--model", help="builtin model: ising, fig2, zero(d)")
@@ -174,7 +157,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _, _, _, g = _pipeline(_load_term(args), args.tol, args.seed)
+    g = Analysis(_load_term(args), args.tol, args.seed).graph
     doc = g.to_dict()
     doc.update({"seed": args.seed, "tol": args.tol})
     if args.dot:
@@ -215,10 +198,9 @@ def _log10_degeneracy(m: list[list[int]], n: int) -> float:
 
 
 def cmd_degeneracy(args) -> int:
-    term = _load_term(args)
+    a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    _, _, _, g = _pipeline(term, args.tol, args.seed)
-    t = TransferMatrices.from_graph(g)
+    t = TransferMatrices.from_graph(a.graph)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7 has no limit
     for n in n_list:
         # Refuse before the exact powering when the float estimate of
@@ -240,10 +222,9 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_census(args) -> int:
-    term = _load_term(args)
+    a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    _, _, _, g = _pipeline(term, args.tol, args.seed)
-    t = TransferMatrices.from_graph(g)
+    t = TransferMatrices.from_graph(a.graph)
     census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
     doc = {"census": census, "seed": args.seed, "tol": args.tol}
     _emit(doc, args.json)
@@ -251,12 +232,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    term = _load_term(args)
+    a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    _, dec, bonds, _ = _pipeline(term, args.tol, args.seed)
     results = {}
     for n in n_list:
-        gs = ground_states(dec, bonds, n, args.cap)
+        gs = ground_states(a, n, args.cap)
         results[str(n)] = {
             "N": n,
             "truncated": gs.truncated,
@@ -276,11 +256,7 @@ def cmd_canonical(args) -> int:
             args.json,
         )
         return EXIT_OK
-    p = projectorize(_load_term(args), args.tol)
-    chk = check_commuting(p, args.tol)
-    if not chk.commuting:
-        raise _NotCommutingExit(chk.residual)
-    chain = canonical_chain(p, args.tol, args.seed)
+    chain = canonical_chain(Analysis(_load_term(args), args.tol, args.seed))
     doc = {
         "k": chain.k,
         "canonical_rep": chain.canonical.to_dict() if chain.canonical else None,
@@ -295,20 +271,19 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    term = _load_term(args)
+    a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    p, _, _, g = _pipeline(term, args.tol, args.seed)
-    t = TransferMatrices.from_graph(g)
+    t = TransferMatrices.from_graph(a.graph)
     all_ok = True
     rows = []
     for n in n_list:
-        if p.d**n > args.ed_cap:
+        if a.p.d**n > args.ed_cap:
             # An unchecked length is not a pass.
             all_ok = False
             rows.append({"N": n, "skipped": f"d^N exceeds ed cap {args.ed_cap}"})
-            sys.stderr.write(f"N={n}: d^N = {p.d**n} exceeds ed cap {args.ed_cap} -> SKIPPED\n")
+            sys.stderr.write(f"N={n}: d^N = {a.p.d**n} exceeds ed cap {args.ed_cap} -> SKIPPED\n")
             continue
-        spec = integer_spectrum(build_chain(p, n, cap=args.ed_cap))
+        spec = integer_spectrum(build_chain(a.p, n, cap=args.ed_cap))
         census = spectral_census(t, n)
         deg = degeneracy(t, n)
         ed_deg = spec.get(0, 0)
@@ -451,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exit code of each error a subcommand may raise, in the order of the
-# checks: NotScaleInvariant is a CommchainError, JSONDecodeError a ValueError.
+# checks: NotCommuting and NotScaleInvariant are CommchainErrors,
+# JSONDecodeError a ValueError.
 _EXIT_CODES = {
-    _NotCommutingExit: EXIT_NOT_COMMUTING,
+    NotCommuting: EXIT_NOT_COMMUTING,
     NotScaleInvariant: EXIT_NOT_SCALE_INVARIANT,
     CommchainError: EXIT_FAILURE,
     OSError: EXIT_FAILURE,

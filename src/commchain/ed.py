@@ -28,6 +28,7 @@ DEFAULT_CAP = 4096
 KERNEL_TOL = 1e-8
 INTEGER_TOL = 1e-6
 CHECK_TILE = 512  # tile edge of the hermiticity check; a whole-matrix transpose is slower
+KERNEL_CHECK_CAP = 512  # largest d^N of the dense kernel checks after pruning and commutify
 
 __all__ = [
     "ChainHamiltonian",
@@ -36,6 +37,7 @@ __all__ = [
     "integer_spectrum",
     "same_subspace",
     "apply_sitewise",
+    "kernel_check_length",
 ]
 
 
@@ -194,6 +196,12 @@ def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[
     for v in rounded.astype(int):
         out[int(v)] = out.get(int(v), 0) + 1
     return out
+
+
+def kernel_check_length(d: int) -> int | None:
+    """Chain length of a dense kernel check: 3 if d^3 fits the cap, else 2; None if d^2 does not."""
+    n = 3 if d**3 <= KERNEL_CHECK_CAP else 2
+    return n if d**n <= KERNEL_CHECK_CAP else None
 
 
 def same_subspace(a: np.ndarray, b: np.ndarray, tol: float = KERNEL_TOL) -> bool:

@@ -5,6 +5,14 @@ class CommchainError(Exception):
     """Base class for all package errors."""
 
 
+class NotCommuting(CommchainError):
+    """The commutator gate rejected the term; ``residual`` is its commutator residual."""
+
+    def __init__(self, residual: float):
+        self.residual = residual
+        super().__init__(f"term is not commuting (residual {residual:.6e})")
+
+
 class NotHermitian(CommchainError):
     """Input operator is not hermitian within tolerance."""
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import complex_to_json
 from .decomposition import SiteDecomposition
 from .errors import TooLarge
-from .graph import BondFactor, InteractionGraph, build_graph
+from .graph import BondFactor, InteractionGraph
 
 DEFAULT_CYCLE_CAP = 10_000
 DEFAULT_STATE_CAP = 10_000
@@ -89,8 +89,9 @@ def _mat_pow(m, n: int):
     while n > 0:
         if n & 1:
             result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
         n >>= 1
+        if n:
+            base = _mat_mul(base, base)
     return result
 
 
@@ -351,22 +352,18 @@ def mps_reconstruct(tensor: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("...xx->...", part).reshape(-1)
 
 
-def ground_states(
-    dec: SiteDecomposition,
-    bonds: list[list[BondFactor]],
-    n: int,
-    cap: int = DEFAULT_STATE_CAP,
-) -> GroundStateList:
+def ground_states(analysis, n: int, cap: int = DEFAULT_STATE_CAP) -> GroundStateList:
     """Basis of the ground space of the length-``n`` chain, up to ``cap``.
 
-    In the scale-invariant case this is one translation-invariant state
-    per loop (with its MPS form); in general the basis is labelled by
-    ordered cycles and one kernel-basis element per edge.
+    ``analysis`` is a ``canonical.Analysis``.  In the scale-invariant case
+    this is one translation-invariant state per loop (with its MPS form);
+    in general the basis is labelled by ordered cycles and one
+    kernel-basis element per edge.
     """
+    verdict = analysis.verdict
     if n < 2:
         raise ValueError("chain length must be at least 2")
-    g = build_graph(bonds)
-    verdict = check_scale_invariance(g)
+    dec, bonds = analysis.dec, analysis.bonds
     states: list[GroundState] = []
     if verdict.scale_invariant:
         loops = loop_states(bonds)
@@ -382,7 +379,7 @@ def ground_states(
             )
         return GroundStateList(N=n, states=states, truncated=False)
 
-    cycles, enum_truncated = enumerate_cycles(g, n, cap)
+    cycles, enum_truncated = enumerate_cycles(analysis.graph, n, cap)
     cap_hit = False
     for cyc in cycles:
         if len(states) >= cap:

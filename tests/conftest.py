@@ -33,10 +33,9 @@ import pytest
 
 import commchain as cc
 from commchain import models
-from commchain.decomposition import decompose_site
-from commchain.graph import build_graph, extract_bond_projectors
+from commchain.canonical import Analysis
 from commchain.groundspace import SpectralCensus, TransferMatrices
-from commchain.operators import ProjectorTerm, projectorize
+from commchain.operators import ProjectorTerm
 
 
 def dense_eqx_defect(term, x) -> np.ndarray:
@@ -107,11 +106,9 @@ def dense_kernel(chain, tol: float = 1e-8) -> tuple[int, np.ndarray]:
 
 
 def full_pipeline(term, tol=1e-9, seed=0):
-    """projectorize -> decompose -> bonds -> graph for tests."""
-    p = term if isinstance(term, ProjectorTerm) else projectorize(term, tol)
-    dec = decompose_site(p, tol, seed)
-    bonds = extract_bond_projectors(p, dec, tol)
-    return p, dec, bonds, build_graph(bonds)
+    """(p, dec, bonds, graph) of one ``Analysis``, for tests."""
+    a = Analysis(term, tol, seed)
+    return a.p, a.dec, a.bonds, a.graph
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -14,7 +14,7 @@ import numpy as np
 import commchain as cc
 from commchain import models
 from commchain._linalg import dag
-from commchain.canonical import canonical_chain, canonical_hamiltonian, classify_phase
+from commchain.canonical import Analysis, canonical_chain, canonical_hamiltonian, classify_phase
 from commchain.cli import main as cli_main
 from commchain.bridge import commutify, mps_parent, random_injective_map, verify_x
 from commchain.ed import (
@@ -166,7 +166,7 @@ def test_criterion_5_canonicalization(acceptance_corpus):
         _, _, _, g = full_pipeline(m.term)
         if not check_scale_invariance(g).scale_invariant:
             continue
-        chain = canonical_chain(m.term)
+        chain = canonical_chain(Analysis(m.term))
         n = 3
         assert m.d**n <= 4096
         kconj = kernel_dim(build_chain(chain.conjugated, n))[1]

@@ -7,6 +7,7 @@ import commchain as cc
 from commchain import models
 from commchain.bridge import mps_parent, random_injective_map
 from commchain.canonical import (
+    Analysis,
     canonical_chain,
     canonical_hamiltonian,
     classify_phase,
@@ -23,17 +24,16 @@ from conftest import full_pipeline
 
 
 def test_prune_ising_unchanged(ising):
-    _, dec, bonds, _ = full_pipeline(ising)
-    pruned = prune_to_loops(ising, dec, bonds)
+    pruned = prune_to_loops(Analysis(ising))
     assert np.allclose(pruned.op, ising.op)
 
 
 def test_prune_removes_extra_edge():
     # two weight-1 loops plus one non-cycle edge 0 -> 1
     term = cc.synthesize_local_term([(1, 1), (1, 1)], [[1, 1], [0, 1]], seed=6)
-    _, dec, bonds, g = full_pipeline(term)
-    assert g.M.tolist() == [[1, 1], [0, 1]]
-    pruned = prune_to_loops(term, dec, bonds)
+    a = Analysis(term)
+    assert a.graph.M.tolist() == [[1, 1], [0, 1]]
+    pruned = prune_to_loops(a)
     _, _, _, g2 = full_pipeline(pruned)
     assert np.array_equal(g2.M, np.eye(2, dtype=int))
     # ground space unchanged at N = 3
@@ -44,16 +44,14 @@ def test_prune_removes_extra_edge():
 
 def test_prune_zero_loop_model_is_frustrated():
     term = cc.synthesize_local_term([(1, 1), (1, 1)], [[0, 1], [0, 0]], seed=2)
-    _, dec, bonds, _ = full_pipeline(term)
-    pruned = prune_to_loops(term, dec, bonds)
+    pruned = prune_to_loops(Analysis(term))
     dim, _ = kernel_dim(build_chain(pruned, 3))
     assert dim == 0
 
 
 def test_prune_requires_scale_invariance(fig2):
-    _, dec, bonds, _ = full_pipeline(fig2)
     with pytest.raises(NotScaleInvariant):
-        prune_to_loops(fig2, dec, bonds)
+        prune_to_loops(Analysis(fig2))
 
 
 def test_disentangler_identity_for_product_loops(ising):
@@ -73,7 +71,7 @@ def test_disentangler_bell_case():
     conj = conjugate_term(res.p, spec.u)
     assert check_commuting(conj).commuting
     # the conjugated chain has the product ground state
-    chain = canonical_chain(res.p)
+    chain = canonical_chain(Analysis(res.p))
     s = chain.site_states[0]
     target = np.kron(np.kron(s, s), s)[:, None]
     kb = kernel_dim(build_chain(chain.conjugated, 3))[1]
@@ -158,7 +156,7 @@ def test_conjugation_preserves_commutativity_and_graph(small_corpus):
         _, _, _, g = full_pipeline(m.term)
         if not check_scale_invariance(g).scale_invariant:
             continue
-        chain = canonical_chain(m.term)
+        chain = canonical_chain(Analysis(m.term))
         assert check_commuting(chain.conjugated).commuting
         bonds_pruned = extract_bond_projectors(chain.pruned, chain.dec)
         bonds_conj = extract_bond_projectors(chain.conjugated, chain.dec)
@@ -190,7 +188,7 @@ def test_full_chain_ground_space(small_corpus):
         _, _, _, g = full_pipeline(m.term)
         if not check_scale_invariance(g).scale_invariant:
             continue
-        chain = canonical_chain(m.term)
+        chain = canonical_chain(Analysis(m.term))
         n = 3
         korig = kernel_dim(build_chain(m.term, n))[1]
         kprun = kernel_dim(build_chain(chain.pruned, n))[1]

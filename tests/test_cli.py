@@ -1,11 +1,15 @@
 """CLI subcommand tests: formats, exit codes, determinism, piping."""
 
+import itertools
 import json
 import math
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 
+import commchain as cc
 from commchain import cli, models
 from commchain._linalg import complex_to_json
 from commchain.cli import main
@@ -320,3 +324,66 @@ def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
     for doc, path in emitted:
         with open(path) as fh:
             assert fh.read() == json.dumps(doc, indent=2) + "\n", path
+
+
+def _write_term(tmp_path, term):
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(term.to_dict()))
+    return str(path)
+
+
+def test_subcommands_agree_on_graph_and_witness(tmp_path, capsys):
+    # Neither term is scale invariant, so canonical refuses with the witness.
+    term = cc.synthesize_local_term([(1, 2), (1, 1)], [[1, 1], [1, 1]], seed=12)
+    for source in (["--model", "fig2"], ["--input", _write_term(tmp_path, term)]):
+        code, out = run_cli(capsys, ["analyze", *source])
+        assert code == 3
+        report = json.loads(out)
+        m = report["graph"]["M"]
+        code, out = run_cli(capsys, ["graph", *source])
+        graph = json.loads(out)
+        assert {k: graph[k] for k in ("M", "R", "blocks")} == report["graph"], source
+        assert graph["blocks"] == report["blocks"]
+        code, out = run_cli(capsys, ["canonical", *source])
+        assert code == 3
+        assert json.loads(out)["error"] == f"witness: {report['witness']}", source
+        # ground at N=3: one state per kernel vector choice on each closed walk of M
+        code, out = run_cli(capsys, ["ground", *source, "--N", "3"])
+        assert code == 0
+        states = json.loads(out)["ground_states"]["3"]["states"]
+        walks = {}
+        for w in itertools.product(range(len(m)), repeat=3):
+            weight = m[w[0]][w[1]] * m[w[1]][w[2]] * m[w[2]][w[0]]
+            if weight:
+                walks[w] = weight
+        assert Counter(tuple(st["cycle"]) for st in states) == walks, source
+
+
+def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
+    stages = {
+        "decompose_site": cc.decompose_site,
+        "build_graph": cc.build_graph,
+        "check_scale_invariance": cc.check_scale_invariance,
+    }
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    # Every commchain namespace that holds a stage function gets the spy.
+    for modname, mod in list(sys.modules.items()):
+        if modname == "commchain" or modname.startswith("commchain."):
+            for name, fn in stages.items():
+                if vars(mod).get(name) is fn:
+                    monkeypatch.setattr(mod, name, spy(name, fn))
+    term = cc.synthesize_local_term([(1, 1), (1, 1)], [[1, 1], [0, 1]], seed=6)
+    path = _write_term(tmp_path, term)
+    for argv in (["canonical", "--input", path], ["ground", "--input", path, "--N", "2..4"]):
+        calls.clear()
+        code, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert calls == {name: 1 for name in stages}, (argv, calls)

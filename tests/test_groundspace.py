@@ -3,7 +3,8 @@
 import numpy as np
 
 import commchain as cc
-from commchain import models
+from commchain import groundspace, models
+from commchain.canonical import Analysis
 from commchain.ed import build_chain, integer_spectrum, kernel_dim
 from commchain.groundspace import (
     TransferMatrices,
@@ -43,6 +44,28 @@ def test_degeneracy_zero_chain():
 def test_degeneracy_big_integers():
     t = TransferMatrices(M=[[2]], R=[[0]])
     assert degeneracy(t, 100) == 2**100
+
+
+def test_mat_pow_skips_the_squaring_past_the_top_bit(monkeypatch):
+    # M^N by binary powering takes popcount(N) products into the result and
+    # bit_length(N) - 1 squarings; one more squaring would be wasted.
+    mat_mul = groundspace._mat_mul
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(groundspace, "_mat_mul", counted)
+    m = [[1, 1], [1, 0]]
+    for n in (1, 2, 7, 2**10):
+        calls.clear()
+        power = groundspace._mat_pow(m, n)
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+        expected = m
+        for _ in range(n - 1):
+            expected = mat_mul(expected, m)
+        assert power == expected, n
 
 
 def test_enumerate_cycles_ising(ising):
@@ -149,8 +172,9 @@ def test_scale_invariance_zero():
 
 
 def test_ground_states_ising(ising):
-    _, dec, bonds, _ = full_pipeline(ising)
-    gs = ground_states(dec, bonds, 4)
+    a = Analysis(ising)
+    dec = a.dec
+    gs = ground_states(a, 4)
     assert len(gs.states) == 2 and not gs.truncated
     dense = [assemble_state(dec, s.cycle, s.bond_vectors) for s in gs.states]
     targets = [np.zeros(16), np.zeros(16)]
@@ -163,8 +187,9 @@ def test_ground_states_ising(ising):
 
 
 def test_ground_states_fig2_paper_state(fig2):
-    _, dec, bonds, _ = full_pipeline(fig2)
-    gs = ground_states(dec, bonds, 3)
+    analysis = Analysis(fig2)
+    dec = analysis.dec
+    gs = ground_states(analysis, 3)
     assert len(gs.states) == 8
     perm = fig2_block_permutation(dec)
     a, _, gm, th = perm
@@ -182,8 +207,7 @@ def test_ground_states_fig2_paper_state(fig2):
 def test_ground_states_frustrated_graph():
     # two loops pruned away: acyclic graph with no loops has no cycles at all
     term = cc.synthesize_local_term([(1, 1), (1, 1)], [[0, 1], [0, 0]], seed=2)
-    _, dec, bonds, _ = full_pipeline(term)
-    gs = ground_states(dec, bonds, 3)
+    gs = ground_states(Analysis(term), 3)
     assert gs.states == []
 
 
@@ -191,8 +215,9 @@ def test_ground_states_annihilated(small_corpus):
     for m in small_corpus:
         if m.d**3 > 512:
             continue
-        _, dec, bonds, _ = full_pipeline(m.term)
-        gs = ground_states(dec, bonds, 3, cap=64)
+        a = Analysis(m.term)
+        dec = a.dec
+        gs = ground_states(a, 3, cap=64)
         ch = build_chain(m.term, 3)
         for s in gs.states:
             v = assemble_state(dec, s.cycle, s.bond_vectors)
@@ -201,20 +226,21 @@ def test_ground_states_annihilated(small_corpus):
 
 def test_ground_state_count_matches_degeneracy(small_corpus):
     for m in small_corpus:
-        _, dec, bonds, g = full_pipeline(m.term)
-        t = TransferMatrices.from_graph(g)
-        gs = ground_states(dec, bonds, 3, cap=100_000)
+        a = Analysis(m.term)
+        t = TransferMatrices.from_graph(a.graph)
+        gs = ground_states(a, 3, cap=100_000)
         assert not gs.truncated
         assert len(gs.states) == degeneracy(t, 3), m.name
 
 
 def test_loop_mps_reconstructs(ising, small_corpus):
     for term in [ising] + [m.term for m in small_corpus if m.scale_invariant_planted][:3]:
-        _, dec, bonds, g = full_pipeline(term)
-        v = check_scale_invariance(g)
+        a = Analysis(term)
+        dec = a.dec
+        v = check_scale_invariance(a.graph)
         if not v.scale_invariant:
             continue
-        gs = ground_states(dec, bonds, 4)
+        gs = ground_states(a, 4)
         for s in gs.states:
             assert s.mps_tensor is not None
             dense = assemble_state(dec, s.cycle, s.bond_vectors)
@@ -273,9 +299,9 @@ def test_scale_invariant_constant_degeneracy(small_corpus):
 def test_ground_states_keep_every_cycle_when_enumeration_truncated(fig2):
     # Three closed walks fit under the cap; each carries one state, so all
     # three are returned, marked truncated because more walks exist.
-    _, dec, bonds, g = full_pipeline(fig2)
-    cycles, enum_truncated = enumerate_cycles(g, 4, cap=3)
+    a = Analysis(fig2)
+    cycles, enum_truncated = enumerate_cycles(a.graph, 4, cap=3)
     assert len(cycles) == 3 and enum_truncated
-    gs = ground_states(dec, bonds, 4, cap=3)
+    gs = ground_states(a, 4, cap=3)
     assert len(gs.states) == 3 and gs.truncated
     assert [s.cycle for s in gs.states] == cycles

@@ -6,11 +6,23 @@ and the energy census stay put, and the graph's M and R change only by a
 relabelling of the vertices.  The census is also unchanged
 by relabelling the graph's vertices (P M P^T, P R P^T) and by reversing
 its edges (M^T, R^T).  Planted verdicts also hold across six decades of
-``tol``.  Hypothesis runs derandomized with a handful of examples, so
-the draws are the same on every run.
+``tol``.
+
+Hermitian noise of spectral norm eps on a corpus projector: with
+eps << tol the verdict and the block dimensions stay; with eps >> sqrt(tol)
+the commutator gate rejects the term (exit 2, ``commuting: false``).  In
+between lies a grey zone that no test pins down: the commutator residual
+is eps times a model-dependent constant (up to about d^(3/2), since it is
+a Frobenius norm), the gate compares it with tol, and an accepted term
+must still pass the sqrt(tol) checks of the decomposition, so either
+outcome, or a decomposition failure, can occur there.
+
+Hypothesis runs derandomized with a handful of examples, so the draws are
+the same on every run.
 """
 
 import itertools
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +31,7 @@ from hypothesis import strategies as st
 from commchain import models
 from commchain._linalg import haar_unitary
 from commchain.canonical import classify_phase
+from commchain.cli import main
 from commchain.groundspace import TransferMatrices, spectral_census
 from commchain.operators import LocalTerm, commutator_residual
 
@@ -88,6 +101,50 @@ def test_planted_verdict_across_tol(small_corpus, index, exponent):
     rep = classify_phase(m.term, tol=10.0**exponent)
     assert rep.commuting and rep.error is None
     assert rep.scale_invariant == m.scale_invariant_planted
+
+
+def _noisy(term, eps, seed):
+    """``term + eps H`` with H hermitian, ||H||_2 = 1, and no kernel-kernel block.
+
+    The kernel-kernel block is left out because it moves the kernel
+    eigenvalues by up to eps at first order: past sqrt(tol), projectorize
+    would refuse the term as not PSD (exit 1) before the commutator gate
+    sees it.  The rest moves them by O(eps^2) and rotates the range by
+    O(eps).
+    """
+    rng = np.random.default_rng(seed)
+    n = term.d * term.d
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kernel = np.eye(n) - term.op
+    h = z + z.conj().T
+    h = h - kernel @ h @ kernel
+    h = (h + h.conj().T) / (2.0 * np.linalg.norm(h, 2))
+    return LocalTerm(term.d, term.op + eps * h)
+
+
+@SETTINGS
+@given(index=st.integers(0, 11), seed=st.integers(0, 2**31 - 1))
+def test_noise_far_below_tol_keeps_verdict(small_corpus, index, seed):
+    term = small_corpus[index].term
+    rep = classify_phase(term)
+    noisy = classify_phase(_noisy(term, 1e-3 * rep.tol, seed))
+    assert noisy.commuting and noisy.error is None
+    assert noisy.exit_code() == rep.exit_code()
+    assert noisy.scale_invariant == rep.scale_invariant
+    assert sorted(noisy.block_dims) == sorted(rep.block_dims)
+    assert noisy.degeneracy == rep.degeneracy
+
+
+@SETTINGS
+@given(index=st.integers(0, 11), seed=st.integers(0, 2**31 - 1))
+def test_noise_far_above_sqrt_tol_is_not_commuting(tmp_path_factory, small_corpus, index, seed):
+    term = _noisy(small_corpus[index].term, 30 * np.sqrt(1e-9), seed)
+    path = tmp_path_factory.mktemp("noise") / "term.json"
+    path.write_text(json.dumps(term.to_dict()))
+    out = path.with_name("report.json")
+    assert main(["analyze", "--input", str(path), "--json", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["commuting"] is False and report["stage"] == "check_commuting"
 
 
 def _transfer(term) -> TransferMatrices:
