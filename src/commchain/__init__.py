@@ -18,7 +18,7 @@ from .canonical import (
     disentangling_unitary,
     prune_to_loops,
 )
-from .decomposition import SiteDecomposition, commutant, decompose_site, generate_algebra
+from .decomposition import SiteDecomposition, commutant, decompose_site
 from .ed import build_chain, integer_spectrum, kernel_dim, same_subspace
 from .graph import InteractionGraph, build_graph, export_dot, extract_bond_projectors
 from .groundspace import (

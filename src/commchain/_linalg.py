@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "dag",
     "op_norm",
+    "op_norms",
     "hermiticity_defect",
     "nullspace",
     "orthonormalize_rows",
@@ -43,6 +44,24 @@ def op_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def op_norms(mats: list[np.ndarray]) -> np.ndarray:
+    """Spectral norms of ``mats``, by one SVD of their zero-padded stack.
+
+    Each entry has shape (..., rows, cols) with the same leading axes;
+    the result has shape (len(mats), ...).  Zero padding keeps the
+    singular values.
+    """
+    lead = mats[0].shape[:-2]
+    rows = max(m.shape[-2] for m in mats)
+    cols = max(m.shape[-1] for m in mats)
+    pad = np.zeros((len(mats),) + lead + (rows, cols), dtype=complex)
+    for k, m in enumerate(mats):
+        pad[k, ..., : m.shape[-2], : m.shape[-1]] = m
+    if pad.size == 0:
+        return np.zeros(pad.shape[:-2])
+    return np.linalg.svd(pad, compute_uv=False)[..., 0]
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

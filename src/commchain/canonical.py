@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .decomposition import SiteDecomposition, decompose_site
+from .decomposition import SiteDecomposition, _decompose_commuting
 from .errors import (
     CommchainError,
     DegenerateLoopKernel,
@@ -68,7 +68,9 @@ class Analysis:
     ``p`` validates a ``ProjectorTerm`` and uses it as given (a mislabelled
     one is an error) and projectorizes any other term; ``commuting`` is the
     commutator gate at ``tol``; ``dec`` raises ``NotCommuting`` when the
-    gate failed; ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
+    gate failed and otherwise decomposes without recomputing the residual
+    (this gate is stricter than ``decompose_site``'s sqrt(tol));
+    ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
     raises is not cached, so the next access raises again.
     """
 
@@ -90,7 +92,7 @@ class Analysis:
     def dec(self) -> SiteDecomposition:
         if not self.commuting.commuting:
             raise NotCommuting(self.commuting.residual)
-        return decompose_site(self.p, self.tol, self.seed)
+        return _decompose_commuting(self.p, self.tol, self.seed)
 
     @cached_property
     def bonds(self) -> list[list[BondFactor]]:

@@ -6,15 +6,19 @@ which the left-neighbor term touches the site act only on H_l and the
 factors of the right-neighbor term act only on H_r.
 
 The construction is the standard finite-dimensional *-algebra machinery,
-done numerically:
+done numerically.  The Schmidt factors of P are hermitian, so the set S of
+both factor families is self-adjoint and the algebra D it generates is its
+own double commutant, D = D''.  D itself is never built:
 
-1. build the joint algebra D generated by both Schmidt factor families,
-2. split C^d along the spectral projections of a generic hermitian
-   element of the center of D,
-3. inside each block, factor the algebra generated by the second-slot
-   family alone (a full matrix algebra with multiplicity) by
-   eigendecomposing a generic element of its commutant and aligning the
-   resulting copies of H_l with intertwiners from the commutant.
+1. the commutant D' = S' is the null space of one stacked real system
+   i[g, X] = 0 over g in S, with X in the real space of hermitian matrices;
+2. the center Z(D) = D' n D'' = Z(D') is the part of D' commuting with two
+   generic hermitian elements of D' (which generate D'), and C^d splits
+   along the spectral projections of a generic hermitian central element;
+3. inside each block the second-slot family alone generates M_l (x) 1_r,
+   whose commutant 1_l (x) M_r is again one null space (r = sqrt(dim),
+   l = n / r); a generic element of it splits the block into r copies of
+   H_l, and intertwiners from the commutant align the copies.
 
 Correctness is enforced by verifying the defining conditions numerically
 before returning, with a bounded number of internal reseeds.
@@ -33,6 +37,8 @@ from .operators import DEFAULT_TOL, ProjectorTerm, commutator_residual, operator
 
 MAX_RESEEDS = 8
 
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass
 class OperatorAlgebra:
@@ -45,25 +51,6 @@ class OperatorAlgebra:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def project_coeffs(self, op: np.ndarray) -> np.ndarray:
-        """Coefficients of the orthogonal projection of ``op`` onto the span."""
-        flat = self.basis.reshape(self.dim, -1)
-        return flat.conj() @ op.reshape(-1)
-
-    def distance_to_span(self, op: np.ndarray) -> float:
-        coeffs = self.project_coeffs(op)
-        proj = np.tensordot(coeffs, self.basis, axes=(0, 0))
-        return float(np.linalg.norm(op - proj))
-
-    def closure_defect(self) -> float:
-        """Largest distance of a basis product or adjoint from the span."""
-        worst = 0.0
-        for a in self.basis:
-            worst = max(worst, self.distance_to_span(la.dag(a)))
-            for b in self.basis:
-                worst = max(worst, self.distance_to_span(a @ b))
-        return worst
-
     def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
         w = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         z = np.tensordot(w, self.basis, axes=(0, 0))
@@ -74,58 +61,64 @@ class OperatorAlgebra:
         return np.tensordot(w, self.basis, axes=(0, 0))
 
 
-def generate_algebra(ops: list[np.ndarray], tol: float = DEFAULT_TOL) -> OperatorAlgebra:
-    """Smallest unital *-algebra containing ``ops``.
+def _coords(x: np.ndarray) -> np.ndarray:
+    """Real orthonormal coordinates of hermitian ``x`` (batched over leading axes).
 
-    Closure is computed by alternating pairwise products with the current
-    basis and re-orthonormalization until the dimension stabilizes.
+    (X_ii, sqrt2 Re X_ij, sqrt2 Im X_ij for i < j): the Hilbert-Schmidt
+    inner product of two hermitian matrices is the dot product of these.
     """
-    if not ops:
-        raise ValueError("need at least one generator dimension")
-    n = ops[0].shape[0]
-    rows = [np.eye(n, dtype=complex).reshape(-1)]
-    rows += [np.asarray(op, dtype=complex).reshape(-1) for op in ops]
-    basis = la.orthonormalize_rows(np.array(rows), rtol=tol)
-    while True:
-        mats = basis.reshape(-1, n, n)
-        prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n)
-        new = la.orthonormalize_rows(np.vstack([basis, prods]), rtol=tol)
-        if new.shape[0] == basis.shape[0]:
-            return OperatorAlgebra(ambient_dim=n, basis=new.reshape(-1, n, n))
-        basis = new
+    iu, ju = np.triu_indices(x.shape[-1], 1)
+    up = x[..., iu, ju] * _SQRT2
+    return np.concatenate([np.diagonal(x, axis1=-2, axis2=-1).real, up.real, up.imag], axis=-1)
 
 
-def commutant(alg: OperatorAlgebra, tol: float = DEFAULT_TOL) -> OperatorAlgebra:
-    """Algebra of everything commuting with ``alg``.
+def _ad_stack(ops: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows (g, coordinate), columns (basis element X): coordinates of i[g, X].
 
-    Solves the stacked linear system [Z, b] = 0 over all basis elements b;
-    with row-major vec this is (b (x) 1 - 1 (x) b^T) vec(Z) = 0.
+    ``ops`` (k, n, n) and ``basis`` (m, n, n) are hermitian, so every i[g, X]
+    is hermitian and the matrix is real.
     """
-    n = alg.ambient_dim
-    eye = np.eye(n)
-    rows = []
-    for b in alg.basis:
-        rows.append(np.kron(b, eye) - np.kron(eye, b.T))
-    stacked = np.vstack(rows)
-    null = la.nullspace(stacked, rtol=tol)
-    basis = la.orthonormalize_rows(null.T, rtol=tol)
-    return OperatorAlgebra(ambient_dim=n, basis=basis.reshape(-1, n, n))
+    prod = ops[:, None] @ basis[None]  # g X, shape (k, m, n, n)
+    comm = 1j * (prod - np.swapaxes(prod, -1, -2).conj())  # (g X)^dag = X g
+    return np.swapaxes(_coords(comm), 1, 2).reshape(-1, basis.shape[0])
 
 
-def center(alg: OperatorAlgebra, tol: float = DEFAULT_TOL) -> OperatorAlgebra:
-    """Center of the algebra: elements of the span commuting with all of it."""
-    n = alg.ambient_dim
-    cols = []
-    for bi in alg.basis:
-        col = [ (bi @ bj - bj @ bi).reshape(-1) for bj in alg.basis ]
-        cols.append(np.concatenate(col))
-    stacked = np.array(cols).T  # rows: constraints, cols: coefficients
-    coeff_null = la.nullspace(stacked, rtol=tol)
-    elems = [np.tensordot(coeff_null[:, k], alg.basis, axes=(0, 0)) for k in range(coeff_null.shape[1])]
-    if not elems:
-        raise DecompositionFailed("center of the joint algebra is empty")
-    basis = la.orthonormalize_rows(np.array([e.reshape(-1) for e in elems]), rtol=tol)
-    return OperatorAlgebra(ambient_dim=n, basis=basis.reshape(-1, n, n))
+def commutant(ops: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorAlgebra:
+    """Algebra of everything commuting with the hermitian family ``ops`` (k, n, n).
+
+    Only the hermitian parts of ``ops`` are used (compressions like
+    V^dag g V are hermitian up to rounding).  A self-adjoint family's
+    commutant is a *-algebra, so it is spanned by its hermitian elements:
+    X runs over the real span of ``hermitian_basis`` and i[g, X] is read
+    in the coordinates of ``_coords``.  Both are orthonormal, so the real
+    stack is the complex (g (x) 1 - 1 (x) g^T) stack in unitary changes of
+    basis (times -i): it has the same singular values, and ``nullspace``'s
+    cut is unchanged.  A tall stack is reduced to its n^2 x n^2 R factor
+    first, which keeps the singular values.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    n = ops.shape[-1]
+    ops = (ops + np.swapaxes(ops, -1, -2).conj()) / 2.0
+    basis = la.hermitian_basis(n)
+    stack = _ad_stack(ops, basis)
+    if stack.shape[0] > stack.shape[1]:
+        stack = np.linalg.qr(stack, mode="r")
+    null = la.nullspace(stack, rtol=tol).real
+    return OperatorAlgebra(ambient_dim=n, basis=np.tensordot(null.T, basis, axes=(1, 0)))
+
+
+def _center(alg: OperatorAlgebra, rng: np.random.Generator, tol: float) -> OperatorAlgebra:
+    """Center of the *-algebra ``alg`` (with a hermitian basis).
+
+    Two generic hermitian elements generate ``alg``, so its center is the
+    part of ``alg`` commuting with both: one null space in the
+    coefficients of ``alg.basis``.
+    """
+    pair = np.array([alg.random_hermitian_element(rng) for _ in range(2)])
+    coeffs = la.nullspace(_ad_stack(pair, alg.basis), rtol=tol).real
+    return OperatorAlgebra(
+        ambient_dim=alg.ambient_dim, basis=np.tensordot(coeffs.T, alg.basis, axes=(1, 0))
+    )
 
 
 @dataclass
@@ -176,24 +169,10 @@ class _Retry(Exception):
     pass
 
 
-def _nearest_left_action(m: np.ndarray, l: int, r: int) -> tuple[np.ndarray, float]:
-    """Closest s~ (x) 1_r to ``m`` and the distance to it."""
-    t = m.reshape(l, r, l, r)
-    stilde = np.einsum("axbx->ab", t) / r
-    return stilde, la.op_norm(m - np.kron(stilde, np.eye(r)))
-
-
-def _nearest_right_action(m: np.ndarray, l: int, r: int) -> tuple[np.ndarray, float]:
-    """Closest 1_l (x) c~ to ``m`` and the distance to it."""
-    t = m.reshape(l, r, l, r)
-    ctilde = np.einsum("xaxb->ab", t) / l
-    return ctilde, la.op_norm(m - np.kron(np.eye(l), ctilde))
-
-
 def _verify_blocks(
     blocks: list[Block],
-    left_family: list[np.ndarray],
-    right_family: list[np.ndarray],
+    left_family: np.ndarray,
+    right_family: np.ndarray,
     thresh: float,
 ) -> None:
     """Check the defining conditions of the decomposition.
@@ -201,49 +180,62 @@ def _verify_blocks(
     ``left_family`` are the factors that must act as s~ (x) 1_r (the site
     seen from its left neighbor); ``right_family`` must act as 1_l (x) c~.
     The slot conventions are easy to get backwards, so failures name the
-    family explicitly.
+    family explicitly.  Every in-block and cross-block spectral norm comes
+    from one batched SVD; the first failure is reported in the order
+    family, factor, block, then in-block before cross-block.
     """
-    for name, family, project in (
-        ("left-neighbor factors (must act on H_l)", left_family, _nearest_left_action),
-        ("right-neighbor factors (must act on H_r)", right_family, _nearest_right_action),
-    ):
-        for op in family:
-            for i, bi in enumerate(blocks):
-                _, resid = project(la.dag(bi.isometry) @ op @ bi.isometry, bi.l, bi.r)
-                if resid > thresh:
-                    raise _Retry(f"{name}: in-block residual {resid:.3e} at block {i}")
-                for j, bj in enumerate(blocks):
-                    if i == j:
-                        continue
-                    cross = la.op_norm(la.dag(bi.isometry) @ op @ bj.isometry)
-                    if cross > thresh:
-                        raise _Retry(f"{name}: cross-block residual {cross:.3e} at ({i},{j})")
+    names = (
+        "left-neighbor factors (must act on H_l)",
+        "right-neighbor factors (must act on H_r)",
+    )
+    nl = len(left_family)
+    u = np.hstack([b.isometry for b in blocks])
+    t = la.dag(u) @ np.concatenate([left_family, right_family]) @ u
+    offs = np.cumsum([0] + [b.l * b.r for b in blocks])
+    mats = []
+    for i, bi in enumerate(blocks):
+        si = slice(offs[i], offs[i + 1])
+        for j in range(len(blocks)):
+            m = t[:, si, offs[j] : offs[j + 1]]
+            if i == j:  # subtract the closest s~ (x) 1_r, resp. 1_l (x) c~
+                t5 = m.reshape(-1, bi.l, bi.r, bi.l, bi.r)
+                near_left = np.einsum("kaxbx,yz->kaybz", t5[:nl], np.eye(bi.r)) / bi.r
+                near_right = np.einsum("kxaxb,yz->kyazb", t5[nl:], np.eye(bi.l)) / bi.l
+                m = m - np.concatenate([near_left, near_right]).reshape(m.shape)
+            mats.append(m)
+    nb = len(blocks)
+    norms = np.moveaxis(la.op_norms(mats).reshape(nb, nb, -1), -1, 0)  # (factor, i, j)
+    bad = norms > thresh
+    hits = np.argwhere(bad.any(axis=2))
+    if len(hits):
+        f, i = hits[0]
+        name = names[0] if f < nl else names[1]
+        if bad[f, i, i]:
+            raise _Retry(f"{name}: in-block residual {norms[f, i, i]:.3e} at block {i}")
+        j = int(np.argmax(bad[f, i]))
+        raise _Retry(f"{name}: cross-block residual {norms[f, i, j]:.3e} at ({i},{j})")
 
 
 def _factor_block(
     v: np.ndarray,
-    left_ops: list[np.ndarray],
+    left_ops: np.ndarray,
     rng: np.random.Generator,
     tol: float,
 ) -> Block:
     """Split one central block into H_l (x) H_r.
 
     ``v``: orthonormal columns spanning the block.  ``left_ops``: the
-    factor family that generates a full matrix algebra (with multiplicity)
-    on the block; its action defines H_l.
+    factor family that generates a full matrix algebra M_l (x) 1_r on the
+    block; its commutant 1_l (x) M_r has dimension r^2.
     """
     n = v.shape[1]
-    gens = [la.dag(v) @ op @ v for op in left_ops]
-    alg = generate_algebra(gens, tol) if gens else generate_algebra([np.eye(n, dtype=complex)], tol)
-    l = math.isqrt(alg.dim)
-    if l * l != alg.dim or n % l != 0:
-        raise _Retry(f"block algebra dimension {alg.dim} is not a perfect square fitting {n}")
-    r = n // l
+    comm = commutant(la.dag(v) @ left_ops @ v, tol)
+    r = math.isqrt(comm.dim)
+    if r * r != comm.dim or n % r != 0:
+        raise _Retry(f"block commutant dimension {comm.dim} is not a perfect square dividing {n}")
+    l = n // r
     if r == 1:
         return Block(l=l, r=1, isometry=v.copy())
-    comm = commutant(alg, tol)
-    if comm.dim != r * r:
-        raise _Retry(f"block commutant dimension {comm.dim}, expected {r * r}")
     k = comm.random_hermitian_element(rng)
     w, vecs = np.linalg.eigh(k)
     clusters = la.cluster_eigenvalues(w)
@@ -267,8 +259,19 @@ def _factor_block(
     return Block(l=l, r=r, isometry=v @ cols)
 
 
-def _fingerprint(block: Block) -> tuple:
-    return tuple(np.round(np.abs(block.isometry[:, 0]), 6))
+def _vertex_key(block: Block) -> tuple:
+    """(l*r, l, rounded entries of the range projector V V^dag).
+
+    The range projector is a minimal central projection: the term alone
+    fixes it, whatever the rng stream or the gauge of V, and no two blocks
+    share it.
+    """
+    proj = np.round(block.isometry @ la.dag(block.isometry), 6)
+    return (block.l * block.r, block.l, tuple(proj.real.ravel()), tuple(proj.imag.ravel()))
+
+
+def _family(factors: list[np.ndarray], d: int) -> np.ndarray:
+    return np.asarray(factors, dtype=complex).reshape(-1, d, d)
 
 
 def decompose_site(
@@ -276,26 +279,31 @@ def decompose_site(
 ) -> SiteDecomposition:
     """Block decomposition of C^d induced by the commuting projector ``p``.
 
-    Blocks are sorted by (l*r, l, fingerprint of the first isometry
-    column), which is stable and reproducible for a fixed seed.
+    Refuses a term whose commutator residual exceeds sqrt(tol).  Blocks
+    are sorted by ``_vertex_key``, which depends on the term only; the
+    isometries within a block are reproducible for a fixed seed.
     """
     resid = commutator_residual(p)
     if resid > np.sqrt(tol):
         raise DecompositionFailed(
             f"input term is not commuting (commutator residual {resid:.3e})"
         )
+    return _decompose_commuting(p, tol, seed)
+
+
+def _decompose_commuting(p: ProjectorTerm, tol: float, seed: int) -> SiteDecomposition:
+    """``decompose_site`` without its gate, for callers that gated ``p`` already."""
     d = p.d
     pair = operator_schmidt(p, tol)
-    left_family = pair.right_factors  # act on the site from the left bond
-    right_family = pair.left_factors  # act on the site from the right bond
-    eye = [np.eye(d, dtype=complex)]
-    joint = generate_algebra(left_family + right_family + eye, tol)
-    zc = center(joint, tol)
+    left_family = _family(pair.right_factors, d)  # act on the site from the left bond
+    right_family = _family(pair.left_factors, d)  # act on the site from the right bond
+    joint = commutant(np.concatenate([left_family, right_family]), tol)
     rng = np.random.default_rng(seed)
     thresh = np.sqrt(tol)
     last = "no attempt"
     for _ in range(MAX_RESEEDS):
         try:
+            zc = _center(joint, rng, tol)
             z = zc.random_hermitian_element(rng)
             w, vecs = np.linalg.eigh(z)
             clusters = la.cluster_eigenvalues(w)
@@ -306,7 +314,7 @@ def decompose_site(
             blocks = [
                 _factor_block(vecs[:, c], left_family, rng, tol) for c in clusters
             ]
-            blocks.sort(key=lambda b: (b.l * b.r, b.l, _fingerprint(b)))
+            blocks.sort(key=_vertex_key)
             _verify_blocks(blocks, left_family, right_family, thresh)
             dec = SiteDecomposition(d=d, blocks=blocks)
             if dec.completeness_defect() > thresh:

@@ -85,6 +85,7 @@ def extract_bond_projectors(
     """
     thresh = np.sqrt(tol)
     bonds: list[list[BondFactor]] = []
+    defects = []
     for a, ba in enumerate(dec.blocks):
         row = []
         for b, bb in enumerate(dec.blocks):
@@ -94,19 +95,9 @@ def extract_bond_projectors(
             q = np.einsum("xabyxcdy->abcd", t).reshape(
                 ba.r * bb.l, ba.r * bb.l
             ) / (ba.l * bb.r)
-            rebuilt = la.kron_all(np.eye(ba.l), q, np.eye(bb.r))
-            resid = la.op_norm(comp - rebuilt)
-            if resid > thresh:
-                raise FactorizationFailed(
-                    f"bond ({a},{b}) does not factor with identity outer slots "
-                    f"(residual {resid:.3e})"
-                )
+            defects.append(comp - la.kron_all(np.eye(ba.l), q, np.eye(bb.r)))
             q = (q + la.dag(q)) / 2.0
-            idem = la.op_norm(q @ q - q)
-            if idem > thresh:
-                raise FactorizationFailed(
-                    f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
-                )
+            defects.append(q @ q - q)
             # Projector spectrum is {0,1}; threshold at 1/2 is robust.
             w_eig, v_eig = np.linalg.eigh(q)
             kernel = v_eig[:, w_eig < 0.5]
@@ -122,6 +113,19 @@ def extract_bond_projectors(
                 )
             )
         bonds.append(row)
+    # One batched SVD for every residual and idempotency defect; the first
+    # failing pair is reported, its residual before its idempotency.
+    for k, (resid, idem) in enumerate(la.op_norms(defects).reshape(-1, 2)):
+        a, b = divmod(k, len(dec.blocks))
+        if resid > thresh:
+            raise FactorizationFailed(
+                f"bond ({a},{b}) does not factor with identity outer slots "
+                f"(residual {resid:.3e})"
+            )
+        if idem > thresh:
+            raise FactorizationFailed(
+                f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
+            )
     recon = reconstruct_term(dec, bonds)
     resid = la.op_norm(recon - p.op)
     if resid > thresh:

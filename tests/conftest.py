@@ -32,8 +32,10 @@ import numpy as np
 import pytest
 
 import commchain as cc
+from commchain import _linalg as la
 from commchain import models
 from commchain.canonical import Analysis
+from commchain.decomposition import OperatorAlgebra
 from commchain.groundspace import SpectralCensus, TransferMatrices
 from commchain.operators import ProjectorTerm
 
@@ -96,6 +98,85 @@ def bigint_census(t: TransferMatrices, n: int) -> SpectralCensus:
         trace = _poly_add(trace, power[a][a])
     dims = {k: (trace[k] if k < len(trace) else 0) for k in range(n + 1)}
     return SpectralCensus(N=n, dims=dims)
+
+
+# --- closure reference for the site decomposition ---------------------------
+
+
+def _hermitian_span(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal hermitian basis of the complex span of a *-closed set."""
+    n = mats.shape[-1]
+    adj = np.swapaxes(mats, -1, -2).conj()
+    flat = np.concatenate([(mats + adj) / 2, (mats - adj) / 2j]).reshape(-1, n * n)
+    # For hermitian matrices tr(A^dag B) = Re.Re + Im.Im: a real inner product.
+    rows = la.orthonormalize_rows(np.hstack([flat.real, flat.imag]), rtol=tol)
+    return (rows[:, : n * n] + 1j * rows[:, n * n :]).reshape(-1, n, n)
+
+
+def generate_algebra(ops: list[np.ndarray], tol: float = 1e-9) -> OperatorAlgebra:
+    """Reference: smallest unital *-algebra containing ``ops``, by closure.
+
+    Alternates pairwise products with the current basis and
+    re-orthonormalization until the dimension stabilizes; the result gets
+    a hermitian orthonormal basis, so it can feed ``commutant``.
+    """
+    if not ops:
+        raise ValueError("need at least one generator dimension")
+    n = ops[0].shape[0]
+    rows = [np.eye(n, dtype=complex).reshape(-1)]
+    rows += [np.asarray(op, dtype=complex).reshape(-1) for op in ops]
+    basis = la.orthonormalize_rows(np.array(rows), rtol=tol)
+    while True:
+        mats = basis.reshape(-1, n, n)
+        prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n)
+        new = la.orthonormalize_rows(np.vstack([basis, prods]), rtol=tol)
+        if new.shape[0] == basis.shape[0]:
+            return OperatorAlgebra(n, _hermitian_span(new.reshape(-1, n, n), tol))
+        basis = new
+
+
+def closure_defect(alg: OperatorAlgebra) -> float:
+    """Largest distance of a basis product or adjoint from the span."""
+    flat = alg.basis.reshape(alg.dim, -1)
+
+    def distance(op):
+        coeffs = flat.conj() @ op.reshape(-1)
+        return float(np.linalg.norm(op.reshape(-1) - coeffs @ flat))
+
+    worst = 0.0
+    for a in alg.basis:
+        worst = max(worst, distance(la.dag(a)))
+        for b in alg.basis:
+            worst = max(worst, distance(a @ b))
+    return worst
+
+
+def closure_commutant(alg: OperatorAlgebra, tol: float = 1e-9) -> OperatorAlgebra:
+    """Reference commutant: the complex stack (b (x) 1 - 1 (x) b^T) over the basis."""
+    n = alg.ambient_dim
+    eye = np.eye(n)
+    stacked = np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in alg.basis])
+    basis = la.orthonormalize_rows(la.nullspace(stacked, rtol=tol).T, rtol=tol)
+    return OperatorAlgebra(n, basis.reshape(-1, n, n))
+
+
+def center(alg: OperatorAlgebra, tol: float = 1e-9) -> OperatorAlgebra:
+    """Reference center: elements of the span commuting with all of it."""
+    n = alg.ambient_dim
+    cols = []
+    for bi in alg.basis:
+        cols.append(np.concatenate([(bi @ bj - bj @ bi).reshape(-1) for bj in alg.basis]))
+    coeff_null = la.nullspace(np.array(cols).T, rtol=tol)
+    elems = np.tensordot(coeff_null.T, alg.basis, axes=(1, 0)).reshape(-1, n * n)
+    basis = la.orthonormalize_rows(elems, rtol=tol)
+    return OperatorAlgebra(n, basis.reshape(-1, n, n))
+
+
+def span_distance(a, b) -> float:
+    """Largest principal-angle sine between two operator spans."""
+    fa = np.linalg.qr(np.array([m.reshape(-1) for m in a]).T)[0]
+    fb = np.linalg.qr(np.array([m.reshape(-1) for m in b]).T)[0]
+    return la.subspace_angle_sin(fa, fb)
 
 
 def dense_kernel(chain, tol: float = 1e-8) -> tuple[int, np.ndarray]:

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 
 import commchain as cc
-from commchain import cli, models
+from commchain import cli, decomposition, models, operators
 from commchain._linalg import complex_to_json
 from commchain.cli import main
 from commchain.groundspace import TransferMatrices, degeneracy
@@ -361,15 +361,19 @@ def test_subcommands_agree_on_graph_and_witness(tmp_path, capsys):
 
 def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
     stages = {
-        "decompose_site": cc.decompose_site,
+        "_decompose_commuting": decomposition._decompose_commuting,
         "build_graph": cc.build_graph,
         "check_scale_invariance": cc.check_scale_invariance,
+        "commutator_residual": operators.commutator_residual,
     }
     calls = Counter()
+    residual_terms = []
 
     def spy(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "commutator_residual":
+                residual_terms.append(args[0])
             return fn(*args, **kwargs)
 
         return counted
@@ -382,8 +386,17 @@ def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
                     monkeypatch.setattr(mod, name, spy(name, fn))
     term = cc.synthesize_local_term([(1, 1), (1, 1)], [[1, 1], [0, 1]], seed=6)
     path = _write_term(tmp_path, term)
-    for argv in (["canonical", "--input", path], ["ground", "--input", path, "--N", "2..4"]):
+    for argv, pruned in (
+        (["canonical", "--input", path], 1),
+        (["ground", "--input", path, "--N", "2..4"], 0),
+        (["analyze", "--input", path], 0),
+    ):
         calls.clear()
+        residual_terms.clear()
         code, _ = run_cli(capsys, argv)
         assert code == 0
-        assert calls == {name: 1 for name in stages}, (argv, calls)
+        # the residual of p once (the gate), plus the pruned term's once
+        expected = {name: 1 for name in stages}
+        expected["commutator_residual"] += pruned
+        assert calls == expected, (argv, calls)
+        assert len({id(t) for t in residual_terms}) == len(residual_terms), argv

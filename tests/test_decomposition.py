@@ -1,25 +1,45 @@
-"""Tests for algebra closure, commutants, and the site decomposition."""
+"""Tests for commutants, the center, and the site decomposition.
+
+The algebra closure (``generate_algebra``, ``center``) lives in conftest as
+the reference the commutant path is checked against.
+"""
 
 import numpy as np
 import pytest
 
 from commchain import models
-from commchain._linalg import dag, subspace_angle_sin
+from commchain._linalg import dag, op_norm
+from commchain.canonical import Analysis
 from commchain.decomposition import (
     SiteDecomposition,
+    _center,
+    _family,
+    _Retry,
+    _verify_blocks,
     commutant,
-    center,
     decompose_site,
-    generate_algebra,
 )
 from commchain.errors import DecompositionFailed
 from commchain.graph import extract_bond_projectors, reconstruct_term
-from commchain.operators import ProjectorTerm, operator_schmidt, synthesize_local_term
+from commchain.operators import ProjectorTerm, operator_schmidt, projectorize, synthesize_local_term
 
-from conftest import identifiable
+from conftest import (
+    center,
+    closure_commutant,
+    closure_defect,
+    generate_algebra,
+    identifiable,
+    span_distance,
+)
 
 SX = models.SIGMA_X
 SZ = models.SIGMA_Z
+
+# The classify workload's d = 7, 8, 9 block specs (perfbench/workloads.py).
+D7_SI = ([(1, 1), (1, 2), (2, 2)], [[1, 1, 1], [0, 1, 2], [0, 0, 1]])
+D8_SI = ([(2, 2), (2, 2)], [[1, 2], [0, 1]])
+D8_NSI = ([(2, 2), (2, 2)], [[1, 2], [1, 1]])
+D9_SI = ([(1, 1), (2, 2), (2, 2)], [[1, 1, 2], [0, 1, 2], [0, 0, 1]])
 
 
 def test_generate_algebra_scalars():
@@ -30,38 +50,38 @@ def test_generate_algebra_scalars():
 def test_generate_algebra_diagonal():
     alg = generate_algebra([np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)])
     assert alg.dim == 2
-    assert alg.closure_defect() < 1e-10
+    assert closure_defect(alg) < 1e-10
 
 
 def test_generate_algebra_full():
     alg = generate_algebra([SX, SZ])
     assert alg.dim == 4
-    assert alg.closure_defect() < 1e-10
+    assert closure_defect(alg) < 1e-10
 
 
 def test_commutant_of_scalars():
     alg = generate_algebra([np.eye(3, dtype=complex)])
-    assert commutant(alg).dim == 9
+    assert commutant(alg.basis).dim == 9
 
 
 def test_commutant_of_full_algebra():
     alg = generate_algebra([SX, SZ])
-    assert commutant(alg).dim == 1
+    assert commutant(alg.basis).dim == 1
 
 
 def test_commutant_of_diagonal():
     alg = generate_algebra([np.diag([1.0, -1.0]).astype(complex)])
-    com = commutant(alg)
+    com = commutant(alg.basis)
     assert com.dim == 2
     for b in com.basis:
         assert np.linalg.norm(b - np.diag(np.diagonal(b))) < 1e-10
 
 
-def _span_distance(a, b) -> float:
-    """Largest principal-angle sine between two operator spans."""
-    fa = np.linalg.qr(np.array([m.reshape(-1) for m in a]).T)[0]
-    fb = np.linalg.qr(np.array([m.reshape(-1) for m in b]).T)[0]
-    return subspace_angle_sin(fa, fb)
+def test_commutant_of_nothing_is_everything():
+    com = commutant(np.zeros((0, 3, 3)))
+    assert com.dim == 9
+    gram = np.einsum("aij,bij->ab", com.basis.conj(), com.basis)
+    assert np.allclose(gram, np.eye(9))
 
 
 def test_double_commutant(small_corpus):
@@ -70,9 +90,9 @@ def test_double_commutant(small_corpus):
         if not pair.right_factors:
             continue
         alg = generate_algebra(pair.right_factors + [np.eye(m.d, dtype=complex)])
-        dc = commutant(commutant(alg))
+        dc = commutant(commutant(alg.basis).basis)
         assert dc.dim == alg.dim
-        assert _span_distance(dc.basis, alg.basis) < 1e-8
+        assert span_distance(dc.basis, alg.basis) < 1e-8
 
 
 def test_center_of_full_algebra_is_scalars():
@@ -210,3 +230,136 @@ def test_site_decomposition_json_round_trip(fig2):
     assert back.block_dims == dec.block_dims
     for a, b in zip(back.blocks, dec.blocks):
         assert np.allclose(a.isometry, b.isometry)
+
+
+# --- the commutant path against the closure reference ------------------------
+
+
+def _reference_terms(small_corpus, acceptance_corpus):
+    terms = [("ising", models.ising()), ("fig2", models.fig2())]
+    terms += [(f"zero({d})", models.zero(d)) for d in (1, 2, 3)]
+    terms += [(m.name, m.term) for m in small_corpus + acceptance_corpus]
+    for name, spec in (("d7", D7_SI), ("d8", D8_SI), ("d8n", D8_NSI), ("d9", D9_SI)):
+        terms += [(f"{name}-{seed}", synthesize_local_term(*spec, seed)) for seed in (5, 6)]
+    return terms
+
+
+def test_commutant_path_matches_closure_reference(small_corpus, acceptance_corpus):
+    for name, term in _reference_terms(small_corpus, acceptance_corpus):
+        pair = operator_schmidt(term)
+        left, right = _family(pair.right_factors, term.d), _family(pair.left_factors, term.d)
+        joint = commutant(np.concatenate([left, right]))
+        zc = _center(joint, np.random.default_rng(0), 1e-9)
+        ops = pair.right_factors + pair.left_factors + [np.eye(term.d, dtype=complex)]
+        ref = center(generate_algebra(ops))
+        assert zc.dim == ref.dim, name
+        assert span_distance(zc.basis, ref.basis) <= 1e-8, name
+        for i, b in enumerate(decompose_site(term).blocks):
+            gens = dag(b.isometry) @ left @ b.isometry
+            comm = commutant(gens)
+            n = b.l * b.r
+            ref = closure_commutant(generate_algebra(list(gens) or [np.eye(n, dtype=complex)]))
+            assert comm.dim == ref.dim == b.r**2, (name, i)
+            assert span_distance(comm.basis, ref.basis) <= 1e-8, (name, i)
+
+
+def _verify_blocks_loop(blocks, left_family, right_family, thresh):
+    """The per-(factor, block, block) check, one op_norm each: the reference."""
+
+    def left_defect(m, l, r):
+        stilde = np.einsum("axbx->ab", m.reshape(l, r, l, r)) / r
+        return op_norm(m - np.kron(stilde, np.eye(r)))
+
+    def right_defect(m, l, r):
+        ctilde = np.einsum("xaxb->ab", m.reshape(l, r, l, r)) / l
+        return op_norm(m - np.kron(np.eye(l), ctilde))
+
+    for name, family, defect in (
+        ("left-neighbor factors (must act on H_l)", left_family, left_defect),
+        ("right-neighbor factors (must act on H_r)", right_family, right_defect),
+    ):
+        for op in family:
+            for i, bi in enumerate(blocks):
+                resid = defect(dag(bi.isometry) @ op @ bi.isometry, bi.l, bi.r)
+                if resid > thresh:
+                    raise _Retry(f"{name}: in-block residual {resid:.3e} at block {i}")
+                for j, bj in enumerate(blocks):
+                    if i == j:
+                        continue
+                    cross = op_norm(dag(bi.isometry) @ op @ bj.isometry)
+                    if cross > thresh:
+                        raise _Retry(f"{name}: cross-block residual {cross:.3e} at ({i},{j})")
+
+
+def _rotated(blocks, i, j, angle, cols=(0, 0)):
+    """Copies of ``blocks`` with a column of block i turned toward one of block j.
+
+    With i == j the two columns ``cols`` of one block are turned instead.
+    """
+    out = [type(b)(b.l, b.r, b.isometry.copy()) for b in blocks]
+    a, b = blocks[i].isometry[:, cols[0]], blocks[j].isometry[:, cols[1]]
+    c, s = np.cos(angle), np.sin(angle)
+    out[i].isometry[:, cols[0]] = c * a + s * b
+    out[j].isometry[:, cols[1]] = c * b - s * a
+    return out
+
+
+def _messages(blocks, left, right):
+    got = []
+    for check in (_verify_blocks, _verify_blocks_loop):
+        with pytest.raises(_Retry) as exc:
+            check(blocks, left, right, np.sqrt(1e-9))
+        got.append(str(exc.value))
+    return got
+
+
+def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
+    seen = set()
+    terms = [(m.name, m.term) for m in small_corpus] + [("d9", synthesize_local_term(*D9_SI, 5))]
+    for name, term in terms:
+        dec = decompose_site(term)
+        pair = operator_schmidt(term)
+        left, right = _family(pair.right_factors, term.d), _family(pair.left_factors, term.d)
+        _verify_blocks(dec.blocks, left, right, np.sqrt(1e-9))
+        _verify_blocks_loop(dec.blocks, left, right, np.sqrt(1e-9))
+        nb = len(dec.blocks)
+        mutants = [_rotated(dec.blocks, i, j, 1e-3) for i, j in ((0, 1), (nb - 1, 0)) if nb > 1]
+        # within a block with l, r >= 2, turning (a=0, b=0) toward (a=0, b=1)
+        # breaks the tensor structure: an in-block failure
+        mutants += [
+            _rotated(dec.blocks, i, i, 1e-3, cols=(0, 1))
+            for i, b in enumerate(dec.blocks)
+            if b.l >= 2 and b.r >= 2
+        ]
+        for blocks in mutants:
+            # without the left family, the right family's check reports
+            for families in ((left, right), (left[:0], right)):
+                new, old = _messages(blocks, *families)
+                assert new == old, name
+                seen.add((new.split("-")[0], new.split(": ")[1].split("-")[0]))
+    assert seen == {(side, kind) for side in ("left", "right") for kind in ("in", "cross")}
+
+
+# --- canonical vertex order ---------------------------------------------------
+
+
+def _graph_and_witness(term, seed):
+    a = Analysis(term, 1e-9, seed)
+    w = a.verdict.witness
+    return a.graph.M.tolist(), a.graph.R.tolist(), w.to_dict() if w else None
+
+
+def test_vertex_order_does_not_depend_on_the_seed(small_corpus):
+    terms = [m.term for m in small_corpus]
+    terms += [synthesize_local_term(*spec, 5) for spec in (D7_SI, D8_SI, D8_NSI, D9_SI)]
+    for term in terms:
+        first = _graph_and_witness(term, 0)
+        for seed in range(1, 5):
+            assert _graph_and_witness(term, seed) == first
+
+
+def test_vertex_order_survives_rounding_of_the_projector():
+    fig2 = models.fig2()
+    p = projectorize(fig2)
+    assert 0 < np.max(np.abs(p.op - fig2.op)) < 1e-12
+    assert _graph_and_witness(p, 0) == _graph_and_witness(fig2, 0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from commchain import models
-from commchain.decomposition import decompose_site
+from commchain._linalg import op_norm
+from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
 from commchain.graph import (
     InteractionGraph,
@@ -102,6 +103,51 @@ def test_extract_rejects_foreign_decomposition(ising, fig2):
     dec_other = decompose_site(models.zero(2))
     with pytest.raises(FactorizationFailed):
         extract_bond_projectors(ising, dec_other)
+
+
+def _first_bond_failure(p, dec, thresh):
+    """The per-pair loop with one op_norm per check: the reference message."""
+    for a, ba in enumerate(dec.blocks):
+        for b, bb in enumerate(dec.blocks):
+            w = np.kron(ba.isometry, bb.isometry)
+            comp = w.conj().T @ p.op @ w
+            t = comp.reshape(ba.l, ba.r, bb.l, bb.r, ba.l, ba.r, bb.l, bb.r)
+            q = np.einsum("xabyxcdy->abcd", t).reshape(ba.r * bb.l, -1) / (ba.l * bb.r)
+            resid = op_norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
+            if resid > thresh:
+                return (
+                    f"bond ({a},{b}) does not factor with identity outer slots "
+                    f"(residual {resid:.3e})"
+                )
+            q = (q + q.conj().T) / 2.0
+            idem = op_norm(q @ q - q)
+            if idem > thresh:
+                return f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
+    return None
+
+
+def test_extract_reports_the_first_failing_pair(small_corpus):
+    angle, checked = 0.3, 0
+    for m in small_corpus:
+        _, dec, _, _ = full_pipeline(m.term)
+        if len(dec.blocks) < 2:
+            continue
+        # turn the last block's first column toward the one before it, so
+        # the first failing pair is not always (0, 0)
+        blocks = [Block(b.l, b.r, b.isometry.copy()) for b in dec.blocks]
+        x, y = blocks[-1].isometry[:, 0].copy(), blocks[-2].isometry[:, 0].copy()
+        blocks[-1].isometry[:, 0] = np.cos(angle) * x + np.sin(angle) * y
+        blocks[-2].isometry[:, 0] = np.cos(angle) * y - np.sin(angle) * x
+        bad = SiteDecomposition(dec.d, blocks)
+        expected = _first_bond_failure(m.term, bad, np.sqrt(1e-9))
+        with pytest.raises(FactorizationFailed) as exc:
+            extract_bond_projectors(m.term, bad)
+        if expected is None:  # every pair factors; the reconstruction does not
+            assert str(exc.value).startswith("reconstruction residual"), m.name
+        else:
+            assert str(exc.value) == expected, m.name
+            checked += 1
+    assert checked >= 3
 
 
 def test_export_dot_ising(ising):
