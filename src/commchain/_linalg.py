@@ -13,6 +13,8 @@ it from a cached template instead of walking the nested lists.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -108,11 +110,13 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=32)
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of hermitian d x d matrices.
 
     Ordering: normalized identity, then diagonal traceless combinations,
     then symmetric and antisymmetric off-diagonal pairs.  Shape (d*d, d, d).
+    Built once per d and shared, so the array is read-only.
     """
     mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for k in range(1, d):
@@ -129,7 +133,9 @@ def hermitian_basis(d: int) -> np.ndarray:
             m[i, j] = -1j / np.sqrt(2)
             m[j, i] = 1j / np.sqrt(2)
             mats.append(m)
-    return np.array(mats)
+    basis = np.array(mats)
+    basis.flags.writeable = False
+    return basis
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:

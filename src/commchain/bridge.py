@@ -185,9 +185,10 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
     """Conjugate ``h`` by X^(1/2) (x) X^(1/2) and certify the result.
 
     The certificate records the commutator residual of the projectorized
-    result (must pass), the intertwining residual of X, and a dense check
-    at one small chain length that the kernel of the new chain maps onto
-    the kernel of the old one under sitewise X^(1/2).
+    result (must pass), the intertwining residual of X, and an exact-
+    diagonalization check at one small chain length that the kernel of
+    the new chain maps onto the kernel of the old one under sitewise
+    X^(1/2).
     """
     from .ed import apply_sitewise, build_chain, kernel_check_length, kernel_dim, same_subspace
 

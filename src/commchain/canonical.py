@@ -112,7 +112,7 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
 
     Requires a scale-invariant graph.  The result is a commuting projector
     whose graph consists of the original self-loops and nothing else, with
-    the same chain kernel; the kernel equality is checked by dense
+    the same chain kernel; the kernel equality is checked by exact
     diagonalization at one small chain length.
     """
     verdict, dec, bonds = analysis.verdict, analysis.dec, analysis.bonds

@@ -34,7 +34,13 @@ from .canonical import Analysis, canonical_chain, canonical_hamiltonian, classif
 from .ed import build_chain, integer_spectrum
 from .errors import CommchainError, NotCommuting, NotScaleInvariant
 from .graph import export_dot
-from .groundspace import TransferMatrices, degeneracy, ground_states, spectral_census
+from .groundspace import (
+    TransferMatrices,
+    check_ground_size,
+    degeneracy,
+    ground_states,
+    spectral_census,
+)
 from .operators import DEFAULT_TOL, LocalTerm
 
 EXIT_OK = 0
@@ -234,6 +240,7 @@ def cmd_census(args) -> int:
 def cmd_ground(args) -> int:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
+    check_ground_size(a, n_list, args.cap)
     results = {}
     for n in n_list:
         gs = ground_states(a, n, args.cap)
@@ -392,10 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")
     sp.set_defaults(func=cmd_census)
 
-    sp = subs.add_parser("ground", help="explicit ground states")
+    bound = (
+        "bounded: at most 2^20 bond-vector entries, min(cap, degeneracy) x N x d^2 "
+        "summed over N (ising up to N=131072)"
+    )
+    sp = subs.add_parser(
+        "ground",
+        help=f"explicit ground states ({bound})",
+        description=f"Explicit ground states, {bound}.",
+    )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 4")
-    sp.add_argument("--cap", type=int, default=10_000)
+    sp.add_argument("--cap", type=int, default=10_000, help="most states per chain length")
     sp.set_defaults(func=cmd_ground)
 
     sp = subs.add_parser("canonical", help="canonicalization pipeline / normal form")
@@ -404,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, help="site dimension for --k")
     sp.set_defaults(func=cmd_canonical)
 
-    sp = subs.add_parser("verify", help="cross-check against dense diagonalization")
+    sp = subs.add_parser("verify", help="cross-check against exact diagonalization")
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 2..6")
     sp.add_argument("--ed-cap", type=int, default=4096, dest="ed_cap")

@@ -1,17 +1,19 @@
 """Exact diagonalization of the periodic chain, split by lattice momentum.
 
 This is the independent oracle used to cross-check every combinatorial
-claim (degeneracy, energy census, ground-space identities).  It builds the
-full d^N-dimensional Hamiltonian as a dense matrix, with a hard size cap,
-writing each bond's d^2 nonzeros per column by scatter.  The only
-structure it uses is the translation T of the ring, which commutes with H
-by construction and is checked on every build: H is diagonalized one
-momentum block H_k at a time (the momentum-state method of Sandvik,
-arXiv:1101.3281, section 4).  The spectrum is the union of the block
-spectra, and the kernel is computed by sector too: each block's kernel
-vectors are expanded back into the full basis through the momentum
-states.  Nothing of the commuting structure that the oracle is meant to
-check enters here.
+claim (degeneracy, energy census, ground-space identities).  It never
+forms the d^N x d^N Hamiltonian.  The only structure it uses is the
+translation T of the ring: H is diagonalized one momentum block H_k at a
+time (the momentum-state method of Sandvik, arXiv:1101.3281, section 4),
+and each block is built from the columns H e_r of the orbit
+representatives r alone.  A column has at most N d^2 nonzeros, written by
+scatter from each bond's d^2 x d^2 term.  Two checks run on every block
+build: H e_{Tr} = T(H e_r) for every representative (H commutes with T),
+and every H_k is hermitian (so H is, the momentum basis being unitary).
+The spectrum is the union of the block spectra, and the kernel is
+computed by sector too: each block's kernel vectors are expanded back
+into the full basis through the momentum states.  Nothing of the
+commuting structure that the oracle is meant to check enters here.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from . import _linalg as la
 from .errors import NonIntegerSpectrum, TooLarge
 from .operators import LocalTerm
 
-DEFAULT_CAP = 4096
+DEFAULT_CAP = 4096  # largest d^N
 KERNEL_TOL = 1e-8
 INTEGER_TOL = 1e-6
-CHECK_TILE = 512  # tile edge of the hermiticity check; a whole-matrix transpose is slower
-KERNEL_CHECK_CAP = 512  # largest d^N of the dense kernel checks after pruning and commutify
+KERNEL_CHECK_CAP = 512  # largest d^N of the kernel checks after pruning and commutify
+# Entries of one dense slab of summed columns (columns x d^N), bounding its memory.
+_COLUMN_SLAB_BINS = 1 << 18
 
 __all__ = [
     "ChainHamiltonian",
@@ -43,9 +46,11 @@ __all__ = [
 
 @dataclass
 class ChainHamiltonian:
+    """H_N = sum_j P_{j,j+1} on the ring of N sites, held as its d^2 x d^2 two-site term."""
+
     N: int
     d: int
-    matrix: np.ndarray
+    term: np.ndarray
 
 
 def _shift(x: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -57,50 +62,65 @@ def _shift(x: np.ndarray, d: int, n: int) -> np.ndarray:
     return (x % top) * d + x // top
 
 
-def _build_defects(h: np.ndarray, d: int) -> tuple[float, float]:
-    """Largest entries of |T H T^-1 - H| and |H - H^dag|, without a d^N x d^N temporary."""
-    size = h.shape[0]
-    top = size // d
-    # Index a*top + b (a the site-0 digit) is sent by T to b*d + a.
-    same = h.reshape(d, top, d, top)
-    moved = h.reshape(top, d, top, d).transpose(1, 0, 3, 2)
-    shift = max(float(np.max(np.abs(moved[a] - same[a]))) for a in range(d))
-    herm = 0.0
-    for lo in range(0, size, CHECK_TILE):
-        for lo2 in range(lo, size, CHECK_TILE):
-            upper = h[lo : lo + CHECK_TILE, lo2 : lo2 + CHECK_TILE]
-            lower = h[lo2 : lo2 + CHECK_TILE, lo : lo + CHECK_TILE]
-            herm = max(herm, float(np.max(np.abs(upper - lower.conj().T))))
-    return shift, herm
-
-
 def build_chain(p: LocalTerm, n: int, cap: int = DEFAULT_CAP) -> ChainHamiltonian:
-    """H_N = sum_j P_{j,j+1} with periodic wraparound, as a dense matrix."""
-    d = p.d
+    """H_N = sum_j P_{j,j+1} with periodic wraparound; its momentum blocks are built on use."""
     if n < 2:
         raise ValueError("chain length must be at least 2")
-    size = d**n
+    size = p.d**n
     if size > cap:
         raise TooLarge(f"d^N = {size} exceeds cap {cap}")
-    x = np.arange(size)
+    return ChainHamiltonian(N=n, d=p.d, term=p.op)
+
+
+def _bonds(n: int) -> list[tuple[int, int]]:
+    """The ring's bonds (j, j+1 mod n); at n = 2 both join sites 0 and 1."""
+    return [(j, (j + 1) % n) for j in range(n)]
+
+
+def _summed_columns(term: np.ndarray, d: int, n: int, cols: np.ndarray) -> np.ndarray:
+    """The columns H e_x for x in ``cols``, as rows of a dense (len(cols), d^N) array.
+
+    Column x couples to the d^2 rows that differ from x on the sites of one
+    bond only; each bond's entries are scattered and summed.
+    """
+    size = d**n
     weights = d ** np.arange(n - 1, -1, -1)
-    digits = (x[None, :] // weights[:, None]) % d
+    digits = (cols[None, :] // weights[:, None]) % d
     pair_out = np.arange(d * d)
-    h = np.zeros((size, size), dtype=complex)
-    for j in range(n):
-        jp = (j + 1) % n
-        # Column x couples to the d^2 rows that differ from x on sites j, j+1 only;
-        # the (row, column) pairs of one bond are distinct, so += loses none.
-        rest = x - digits[j] * weights[j] - digits[jp] * weights[jp]
+    out = np.zeros(cols.size * size, dtype=complex)
+    at = cols + np.arange(cols.size) * size  # flat index of entry (c, x_c)
+    by_input = term.T  # row a: the outputs of input pair a
+    for j, jp in _bonds(n):
+        rest = at - digits[j] * weights[j] - digits[jp] * weights[jp]
         offsets = (pair_out // d) * weights[j] + (pair_out % d) * weights[jp]
-        rows = rest[None, :] + offsets[:, None]
-        h[rows, x[None, :]] += p.op[:, digits[j] * d + digits[jp]]
-    shift_defect, herm_defect = _build_defects(h, d)
-    if shift_defect > 1e-10 or herm_defect > 1e-10:
-        raise AssertionError(
-            f"chain build inconsistent (shift {shift_defect:.3e}, herm {herm_defect:.3e})"
-        )
-    return ChainHamiltonian(N=n, d=d, matrix=h)
+        rows = rest[:, None] + offsets[None, :]
+        np.add.at(out, rows.ravel(), by_input[digits[j] * d + digits[jp]].ravel())
+    return out.reshape(cols.size, size)
+
+
+def _representative_columns(
+    term: np.ndarray, d: int, n: int, reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nonzero entries (column, row, value) of H e_r over ``reps``, and the shift defect.
+
+    The defect is the largest entry of |H e_{T r} - T(H e_r)|; both columns
+    are built by the same scatter, a slab of representatives at a time.
+    """
+    size = d**n
+    moved_reps = _shift(reps, d, n)
+    after_shift = _shift(np.arange(size), d, n)
+    step = max(1, _COLUMN_SLAB_BINS // (2 * size))
+    defect, entries = 0.0, []
+    for lo in range(0, reps.size, step):
+        width = reps[lo : lo + step].size
+        both = np.concatenate([reps[lo : lo + step], moved_reps[lo : lo + step]])
+        grid = _summed_columns(term, d, n, both)
+        grid, moved = grid[:width], grid[width:]
+        defect = max(defect, float(np.max(np.abs(moved[:, after_shift] - grid))))
+        j, y = np.nonzero(grid)
+        entries.append((j + lo, y, grid[j, y]))
+    cols, rows, vals = (np.concatenate(part) for part in zip(*entries))
+    return cols, rows, vals, defect
 
 
 def _real_if_exact(matrix: np.ndarray) -> np.ndarray:
@@ -133,25 +153,41 @@ def _momentum_blocks(chain: ChainHamiltonian):
     sum_{l<p_r} e^{-2 pi i k l/N} T^l |r>; it exists when k p_r = 0 mod N.
     ``orbits[l, i] = T^l r_i`` and ``periods`` cover those representatives,
     and ``phases[l]`` is e^{-2 pi i k l/N}.  Since H commutes with T
-    (checked in ``build_chain``),
-    <r,k|H|r',k> = sqrt(p_r p_r')/N sum_{l<N} e^{-2 pi i k l/N} H[r, T^l r'].
+    (checked here), each image y = T^s r_i (s < p_i) in the column H e_{r_j}
+    adds H[y, r_j] e^{2 pi i k s/N} sqrt(p_j/p_i) to <r_i,k|H|r_j,k>.  Both
+    build checks run before the first block is yielded, and the
+    hermiticity check on every block.
     """
-    n = chain.N
-    images, period = _translation_orbits(chain.d, n)
-    reps = images[0]
-    # gathered[l, i, j] = H[r_i, T^l r_j], flattened over (i, j)
-    gathered = chain.matrix[reps[None, :, None], images[:, None, :]].reshape(n, -1)
-    for k in range(n):
+    n, d = chain.N, chain.d
+    images, period = _translation_orbits(d, n)
+    cols, rows, vals, shift_defect = _representative_columns(chain.term, d, n, images[0])
+    # x = T^s r_i for orbit[x] = i and the least such s = shift[x]
+    orbit = np.empty(d**n, dtype=np.int64)
+    shift = np.empty(d**n, dtype=np.int64)
+    for step in range(n - 1, -1, -1):
+        orbit[images[step]] = np.arange(period.size)
+        shift[images[step]] = step
+    row_orbit = orbit[rows]
+    back = (-shift[rows]) % n  # e^{2 pi i k s/N} = phases[-s mod N]
+    weights = vals * np.sqrt(period[cols] / period[row_orbit])
+    phase_table = np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    # Exact phases at k = 0 and k = N/2 keep a real H on the real solver.
+    phase_table.real[np.abs(phase_table.real) < 1e-12] = 0.0
+    phase_table.imag[np.abs(phase_table.imag) < 1e-12] = 0.0
+    key = row_orbit * period.size + cols
+    for k, phases in enumerate(phase_table):
         keep = (k * period) % n == 0
         if not keep.any():
             continue
-        phases = np.exp(-2j * np.pi * ((k * np.arange(n)) % n) / n)
-        # Exact phases at k = 0 and k = N/2 keep a real H on the real solver.
-        phases.real[np.abs(phases.real) < 1e-12] = 0.0
-        phases.imag[np.abs(phases.imag) < 1e-12] = 0.0
-        block = (phases @ gathered).reshape(reps.size, reps.size)[np.ix_(keep, keep)]
-        amp = np.sqrt(period[keep] / n)
-        yield images[:, keep], period[keep], phases, block * np.outer(amp, amp)
+        block = np.zeros(period.size**2, dtype=complex)
+        np.add.at(block, key, weights * phases[back])
+        block = block.reshape(period.size, period.size)[np.ix_(keep, keep)]
+        herm_defect = float(np.max(np.abs(block - block.conj().T)))
+        if shift_defect > 1e-10 or herm_defect > 1e-10:
+            raise AssertionError(
+                f"chain build inconsistent (shift {shift_defect:.3e}, herm {herm_defect:.3e})"
+            )
+        yield images[:, keep], period[keep], phases, block
 
 
 def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, np.ndarray]:
@@ -163,7 +199,7 @@ def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, n
     are sums of projectors, so an absolute tolerance on the eigenvalues is
     appropriate.
     """
-    size = chain.matrix.shape[0]
+    size = chain.d**chain.N
     cols = [np.zeros((size, 0), dtype=complex)]
     for orbits, periods, phases, block in _momentum_blocks(chain):
         w, c = np.linalg.eigh(_real_if_exact(block))
@@ -199,7 +235,7 @@ def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[
 
 
 def kernel_check_length(d: int) -> int | None:
-    """Chain length of a dense kernel check: 3 if d^3 fits the cap, else 2; None if d^2 does not."""
+    """Chain length of a kernel check: 3 if d^3 fits the cap, else 2; None if d^2 does not."""
     n = 3 if d**3 <= KERNEL_CHECK_CAP else 2
     return n if d**n <= KERNEL_CHECK_CAP else None
 

@@ -54,7 +54,7 @@ class SingularS(CommchainError):
 
 
 class TooLarge(CommchainError):
-    """Requested chain exceeds a size cap (dense diagonalization or census)."""
+    """Requested chain exceeds a size cap (exact diagonalization, census or ground states)."""
 
 
 class NonIntegerSpectrum(CommchainError):

@@ -10,7 +10,7 @@ per-bond outcomes.  The census is exact and multimodular: the polynomial
 is evaluated at roots of unity modulo NTT primes in int64, transformed
 back and rebuilt by CRT.  It is bounded in N: past ``MAX_CENSUS_ENTRIES``
 evaluation entries (fig2: N > 2047, ising: N > 7678) it raises
-``TooLarge``.  Both quantities are validated against the dense
+``TooLarge``.  Both quantities are validated against the exact-
 diagonalization oracle in the test suite.
 """
 
@@ -32,6 +32,10 @@ DEFAULT_STATE_CAP = 10_000
 # The census refuses a chain whose evaluation stack, primes x L x nv^2
 # int64 entries, would exceed this (fig2, nv = 4: N <= 2047).
 MAX_CENSUS_ENTRIES = 1 << 23
+# ``ground_states`` refuses a chain whose states would hold more bond-vector
+# entries than this, estimated as min(cap, degeneracy) x N x d^2
+# (ising: N <= 131072).
+MAX_GROUND_ENTRIES = 1 << 20
 # Int64 entries per slab of evaluation points raised to the N-th power.
 _CENSUS_SLAB = 1 << 14
 # NTT primes by two-adic order k: the largest p < 2^31 with p = 1 mod 2^k.
@@ -50,6 +54,7 @@ __all__ = [
     "check_scale_invariance",
     "loop_states",
     "ground_states",
+    "check_ground_size",
     "assemble_state",
     "loop_mps_tensor",
     "mps_reconstruct",
@@ -82,16 +87,21 @@ def _mat_mul(a, b):
     ]
 
 
-def _mat_pow(m, n: int):
+def _mat_pow(m, n: int, ceiling: int | None = None):
+    """M^n; with ``ceiling``, every entry of every product is cut to at most ``ceiling``."""
+
+    def cut(a):
+        return a if ceiling is None else [[min(x, ceiling) for x in row] for row in a]
+
     size = len(m)
     result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     base = [row[:] for row in m]
     while n > 0:
         if n & 1:
-            result = _mat_mul(result, base)
+            result = cut(_mat_mul(result, base))
         n >>= 1
         if n:
-            base = _mat_mul(base, base)
+            base = cut(_mat_mul(base, base))
     return result
 
 
@@ -101,6 +111,17 @@ def degeneracy(t: TransferMatrices, n: int) -> int:
         raise ValueError("chain length must be at least 1")
     p = _mat_pow(t.M, n)
     return sum(p[i][i] for i in range(len(p)))
+
+
+def _capped_degeneracy(t: TransferMatrices, n: int, ceiling: int) -> int:
+    """min(Tr(M^N), ceiling), with no integer past ceiling^2 times the vertex count.
+
+    M is nonnegative, so cutting every entry of every partial product at
+    ``ceiling`` leaves the entries below it exact: a cut factor times a
+    nonzero one is at least ``ceiling`` either way.
+    """
+    p = _mat_pow(t.M, n, ceiling)
+    return min(sum(p[i][i] for i in range(len(p))), ceiling)
 
 
 def enumerate_cycles(
@@ -352,17 +373,40 @@ def mps_reconstruct(tensor: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("...xx->...", part).reshape(-1)
 
 
+def check_ground_size(analysis, ns: list[int], cap: int = DEFAULT_STATE_CAP) -> None:
+    """Raise ``TooLarge`` when the ground states at the lengths ``ns`` are too many to write.
+
+    Each state holds N bond vectors of at most d^2 entries.  The states are
+    min(cap, degeneracy) at each N, or one per loop in the scale-invariant
+    case.  Past ``MAX_GROUND_ENTRIES`` entries in total the chain is refused.
+    """
+    if analysis.verdict.scale_invariant:
+        counts = [len(analysis.verdict.loops)] * len(ns)
+    else:
+        t = TransferMatrices.from_graph(analysis.graph)
+        counts = [_capped_degeneracy(t, n, cap) for n in ns]
+    entries = sum(count * n for count, n in zip(counts, ns)) * analysis.dec.d**2
+    if entries > MAX_GROUND_ENTRIES:
+        where = f"N={ns[0]}" if len(ns) == 1 else f"{len(ns)} lengths up to N={max(ns)}"
+        raise TooLarge(
+            f"ground states at {where} need about {entries} bond-vector entries "
+            f"(states x N x d^2), past the limit {MAX_GROUND_ENTRIES}"
+        )
+
+
 def ground_states(analysis, n: int, cap: int = DEFAULT_STATE_CAP) -> GroundStateList:
     """Basis of the ground space of the length-``n`` chain, up to ``cap``.
 
     ``analysis`` is a ``canonical.Analysis``.  In the scale-invariant case
     this is one translation-invariant state per loop (with its MPS form);
     in general the basis is labelled by ordered cycles and one
-    kernel-basis element per edge.
+    kernel-basis element per edge.  Before any state is built,
+    ``check_ground_size`` bounds the bond-vector entries.
     """
     verdict = analysis.verdict
     if n < 2:
         raise ValueError("chain length must be at least 2")
+    check_ground_size(analysis, [n], cap)
     dec, bonds = analysis.dec, analysis.bonds
     states: list[GroundState] = []
     if verdict.scale_invariant:

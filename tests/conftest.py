@@ -36,6 +36,7 @@ from commchain import _linalg as la
 from commchain import models
 from commchain.canonical import Analysis
 from commchain.decomposition import OperatorAlgebra
+from commchain.ed import _translation_orbits
 from commchain.groundspace import SpectralCensus, TransferMatrices
 from commchain.operators import ProjectorTerm
 
@@ -179,9 +180,81 @@ def span_distance(a, b) -> float:
     return la.subspace_angle_sin(fa, fb)
 
 
-def dense_kernel(chain, tol: float = 1e-8) -> tuple[int, np.ndarray]:
+# --- dense reference for the exact diagonalization --------------------------
+
+CHECK_TILE = 512  # tile edge of the hermiticity check; a whole-matrix transpose is slower
+
+
+def _build_defects(h: np.ndarray, d: int) -> tuple[float, float]:
+    """Largest entries of |T H T^-1 - H| and |H - H^dag|, without a d^N x d^N temporary."""
+    size = h.shape[0]
+    top = size // d
+    # Index a*top + b (a the site-0 digit) is sent by T to b*d + a.
+    same = h.reshape(d, top, d, top)
+    moved = h.reshape(top, d, top, d).transpose(1, 0, 3, 2)
+    shift = max(float(np.max(np.abs(moved[a] - same[a]))) for a in range(d))
+    herm = 0.0
+    for lo in range(0, size, CHECK_TILE):
+        for lo2 in range(lo, size, CHECK_TILE):
+            upper = h[lo : lo + CHECK_TILE, lo2 : lo2 + CHECK_TILE]
+            lower = h[lo2 : lo2 + CHECK_TILE, lo : lo + CHECK_TILE]
+            herm = max(herm, float(np.max(np.abs(upper - lower.conj().T))))
+    return shift, herm
+
+
+def dense_chain(p, n: int) -> np.ndarray:
+    """Reference H_N = sum_j P_{j,j+1} with periodic wraparound, as a dense d^N x d^N matrix.
+
+    Each bond's d^2 nonzeros per column are written by scatter, and the
+    matrix is checked for translation invariance and hermiticity to 1e-10.
+    """
+    d = p.d
+    size = d**n
+    x = np.arange(size)
+    weights = d ** np.arange(n - 1, -1, -1)
+    digits = (x[None, :] // weights[:, None]) % d
+    pair_out = np.arange(d * d)
+    h = np.zeros((size, size), dtype=complex)
+    for j in range(n):
+        jp = (j + 1) % n
+        # Column x couples to the d^2 rows that differ from x on sites j, j+1 only;
+        # the (row, column) pairs of one bond are distinct, so += loses none.
+        rest = x - digits[j] * weights[j] - digits[jp] * weights[jp]
+        offsets = (pair_out // d) * weights[j] + (pair_out % d) * weights[jp]
+        rows = rest[None, :] + offsets[:, None]
+        h[rows, x[None, :]] += p.op[:, digits[j] * d + digits[jp]]
+    shift_defect, herm_defect = _build_defects(h, d)
+    if shift_defect > 1e-10 or herm_defect > 1e-10:
+        raise AssertionError(
+            f"chain build inconsistent (shift {shift_defect:.3e}, herm {herm_defect:.3e})"
+        )
+    return h
+
+
+def dense_momentum_blocks(h: np.ndarray, d: int, n: int):
+    """Reference (orbits, periods, phases, H_k), gathered from the dense matrix ``h``.
+
+    <r,k|H|r',k> = sqrt(p_r p_r')/N sum_{l<N} e^{-2 pi i k l/N} H[r, T^l r'].
+    """
+    images, period = _translation_orbits(d, n)
+    reps = images[0]
+    # gathered[l, i, j] = H[r_i, T^l r_j], flattened over (i, j)
+    gathered = h[reps[None, :, None], images[:, None, :]].reshape(n, -1)
+    for k in range(n):
+        keep = (k * period) % n == 0
+        if not keep.any():
+            continue
+        phases = np.exp(-2j * np.pi * ((k * np.arange(n)) % n) / n)
+        phases.real[np.abs(phases.real) < 1e-12] = 0.0
+        phases.imag[np.abs(phases.imag) < 1e-12] = 0.0
+        block = (phases @ gathered).reshape(reps.size, reps.size)[np.ix_(keep, keep)]
+        amp = np.sqrt(period[keep] / n)
+        yield images[:, keep], period[keep], phases, block * np.outer(amp, amp)
+
+
+def dense_kernel(h: np.ndarray, tol: float = 1e-8) -> tuple[int, np.ndarray]:
     """Reference kernel: one dense eigh of the whole d^N x d^N chain matrix."""
-    w, v = np.linalg.eigh(chain.matrix)
+    w, v = np.linalg.eigh(h)
     mask = w < tol
     return int(np.sum(mask)), v[:, mask]
 

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 
 import commchain as cc
-from commchain import cli, decomposition, models, operators
+from commchain import cli, decomposition, groundspace, models, operators
 from commchain._linalg import complex_to_json
 from commchain.cli import main
 from commchain.groundspace import TransferMatrices, degeneracy
@@ -94,6 +94,31 @@ def test_census_past_the_bound_is_a_json_error(capsys):
     assert code == 1
     assert "N=1000000" in json.loads(out)["error"]
     assert elapsed < 1.0
+
+
+def test_ground_past_the_bound_is_a_json_error(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["ground", "--model", "ising", "--N", "1000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "N=1000000" in json.loads(out)["error"]
+    assert elapsed < 1.0
+    # 2 states x N x d^2 = 8N entries: N = 131072 is the longest ising chain.
+    limit = groundspace.MAX_GROUND_ENTRIES
+    assert 8 * 131072 <= limit < 8 * 131073
+    code, out = run_cli(capsys, ["ground", "--model", "ising", "--N", "131073"])
+    assert code == 1 and "131073" in json.loads(out)["error"]
+    # The bound is on the whole report: every listed N counts, and nothing is built first.
+    code, out = run_cli(capsys, ["ground", "--model", "ising", "--N", "2..600"])
+    assert code == 1 and "599 lengths up to N=600" in json.loads(out)["error"]
+    # fig2 is not scale invariant: the cap bounds its states, 2^N at the default.
+    code, out = run_cli(capsys, ["ground", "--model", "fig2", "--N", "13"])
+    assert code == 1
+    code, out = run_cli(capsys, ["ground", "--model", "fig2", "--N", "13", "--cap", "16"])
+    assert code == 0 and len(json.loads(out)["ground_states"]["13"]["states"]) == 16
+    assert "131072" in cli.build_parser()._subparsers._group_actions[0].choices[
+        "ground"
+    ].format_help()
 
 
 def test_integer_past_the_print_limit_is_a_json_error(capsys):

@@ -1,14 +1,21 @@
-"""Tests for the diagonalization oracle itself, against full-matrix references."""
+"""Tests for the diagonalization oracle itself, against full-matrix references.
+
+The oracle builds its momentum blocks from the orbit representatives;
+``conftest.dense_chain``, the dense d^N x d^N scatter build, is the
+reference.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from commchain import models
+from commchain import ed, models
 from commchain._linalg import haar_unitary
 from commchain.canonical import _check_same_chain_kernel, canonical_hamiltonian
 from commchain.ed import (
     KERNEL_TOL,
-    _build_defects,
+    _momentum_blocks,
     _translation_orbits,
     apply_sitewise,
     build_chain,
@@ -17,9 +24,9 @@ from commchain.ed import (
     same_subspace,
 )
 from commchain.errors import CommchainError, NonIntegerSpectrum, TooLarge
-from commchain.operators import ProjectorTerm, synthesize_local_term
+from commchain.operators import LocalTerm, ProjectorTerm, synthesize_local_term
 
-from conftest import dense_kernel
+from conftest import _build_defects, dense_chain, dense_kernel, dense_momentum_blocks
 
 
 def dense_spectrum(matrix: np.ndarray) -> dict[int, int]:
@@ -58,39 +65,37 @@ def synthesized_terms():
 
 
 def test_build_chain_ising_n2():
+    assert np.allclose(dense_chain(models.ising(), 2), np.diag([0, 2, 2, 0]))
     ch = build_chain(models.ising(), 2)
-    assert np.allclose(ch.matrix, np.diag([0, 2, 2, 0]))
     dim, basis = kernel_dim(ch)
     assert dim == 2
     assert {int(np.argmax(np.abs(basis[:, k]))) for k in range(2)} == {0, 3}
 
 
 def test_build_chain_zero():
-    ch = build_chain(models.zero(2), 3)
-    assert np.linalg.norm(ch.matrix) == 0.0
-    assert kernel_dim(ch)[0] == 8
+    assert np.linalg.norm(dense_chain(models.zero(2), 3)) == 0.0
+    assert kernel_dim(build_chain(models.zero(2), 3))[0] == 8
 
 
 def test_build_chain_fig2_integer_spectrum():
-    ch = build_chain(models.fig2(), 3)
-    w = np.linalg.eigvalsh(ch.matrix)
+    w = np.linalg.eigvalsh(dense_chain(models.fig2(), 3))
     assert np.max(np.abs(w - np.rint(w))) < 1e-10
 
 
 def test_build_chain_translation_covariance():
     # rebuild by hand with an explicit shift and compare
     p = models.fig2()
-    ch = build_chain(p, 3)
+    h = dense_chain(p, 3)
     d, n = p.d, 3
     size = d**n
     idx = np.arange(size)
     digits = [(idx // d ** (n - 1 - k)) % d for k in range(n)]
     rot = sum(digits[(k - 1) % n] * d ** (n - 1 - k) for k in range(n))
-    assert np.max(np.abs(ch.matrix[np.ix_(rot, rot)] - ch.matrix)) < 1e-12
+    assert np.max(np.abs(h[np.ix_(rot, rot)] - h)) < 1e-12
 
 
 def test_build_defects_flag_broken_matrices():
-    h = build_chain(models.fig2(), 5).matrix  # 1024 x 1024: two tiles a side
+    h = dense_chain(models.fig2(), 5)  # 1024 x 1024: two tiles a side
     assert max(_build_defects(h, 4)) < 1e-12
     shifted = h.copy()
     shifted[601, 902] += 1e-6  # neither row has 0 as its first or last site digit
@@ -164,31 +169,40 @@ def test_chain_requires_two_sites():
 @pytest.mark.parametrize("name", ["ising", "fig2", "synth"])
 def test_build_chain_matches_kron_reference(name, n):
     p = synthesized_terms()[0][1] if name == "synth" else models.builtin(name)
-    ch = build_chain(p, n)
-    assert np.max(np.abs(ch.matrix - kron_chain(p.op, p.d, n))) <= 1e-12
+    assert np.max(np.abs(dense_chain(p, n) - kron_chain(p.op, p.d, n))) <= 1e-12
 
 
 def test_build_chain_matches_kron_reference_complex_d6():
     _, p = synthesized_terms()[3]
     assert p.d == 6 and np.max(np.abs(p.op.imag)) > 0
     for n in (2, 3):
-        assert np.max(np.abs(build_chain(p, n).matrix - kron_chain(p.op, p.d, n))) <= 1e-12
+        assert np.max(np.abs(dense_chain(p, n) - kron_chain(p.op, p.d, n))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "name,ns",
-    [
-        ("ising", range(2, 11)),  # N = 4, 6, 8, 10 have orbits of every period dividing N
-        ("fig2", range(2, 6)),  # real and not diagonal
-        ("zero(1)", range(2, 7)),  # d = 1: one orbit of period 1, only k = 0 has a state
-        ("zero(3)", range(2, 6)),  # period-1 orbits |aa...a> have a k = 0 state only
-    ],
-)
+BUILTIN_CASES = [
+    ("ising", range(2, 11)),  # N = 4, 6, 8, 10 have orbits of every period dividing N
+    ("fig2", range(2, 6)),  # real and not diagonal
+    ("zero(1)", range(2, 7)),  # d = 1: one orbit of period 1, only k = 0 has a state
+    ("zero(3)", range(2, 6)),  # period-1 orbits |aa...a> have a k = 0 state only
+]
+
+
+def synthesized_cases():
+    """(name, term, N) of the complex synthesized terms at d <= 6, N = 2..6, d^N <= 1296."""
+    return [
+        (name, p, n)
+        for name, p in synthesized_terms()
+        if p.d <= 6
+        for n in range(2, 7)
+        if p.d**n <= 1296  # keeps the dense reference quick
+    ]
+
+
+@pytest.mark.parametrize("name,ns", BUILTIN_CASES)
 def test_sector_spectrum_matches_dense_builtins(name, ns):
     p = models.builtin(name)
     for n in ns:
-        ch = build_chain(p, n)
-        assert integer_spectrum(ch) == dense_spectrum(ch.matrix), (name, n)
+        assert integer_spectrum(build_chain(p, n)) == dense_spectrum(dense_chain(p, n)), (name, n)
 
 
 def test_sector_spectrum_matches_dense_synthesized():
@@ -197,35 +211,26 @@ def test_sector_spectrum_matches_dense_synthesized():
         for n in (2, 3, 4, 6):  # d = 3 reaches the composite N = 6
             if p.d**n > 1296:  # keeps the dense reference quick
                 continue
-            ch = build_chain(p, n)
-            assert integer_spectrum(ch) == dense_spectrum(ch.matrix), (name, n)
+            spec = integer_spectrum(build_chain(p, n))
+            assert spec == dense_spectrum(dense_chain(p, n)), (name, n)
 
 
-
-def assert_kernel_matches_dense(ch) -> int:
+def assert_kernel_matches_dense(p, n: int) -> int:
     """Sector kernel against the dense reference: dimension, subspace, orthonormality."""
-    dim, basis = kernel_dim(ch)
-    ref_dim, ref = dense_kernel(ch, KERNEL_TOL)
+    dim, basis = kernel_dim(build_chain(p, n))
+    ref_dim, ref = dense_kernel(dense_chain(p, n), KERNEL_TOL)
     assert dim == ref_dim == basis.shape[1]
-    assert basis.shape[0] == ch.matrix.shape[0]
+    assert basis.shape[0] == p.d**n
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0) <= 1e-12
     assert same_subspace(basis, ref)
     return dim
 
 
-@pytest.mark.parametrize(
-    "name,ns",
-    [
-        ("ising", range(2, 11)),
-        ("fig2", range(2, 6)),
-        ("zero(1)", range(2, 7)),
-        ("zero(3)", range(2, 6)),  # every state is in the kernel, on orbits of every period
-    ],
-)
+@pytest.mark.parametrize("name,ns", BUILTIN_CASES)  # zero(3): every state is in the kernel
 def test_sector_kernel_matches_dense_builtins(name, ns):
     p = models.builtin(name)
     for n in ns:
-        assert_kernel_matches_dense(build_chain(p, n))
+        assert_kernel_matches_dense(p, n)
 
 
 def test_sector_kernel_matches_dense_synthesized():
@@ -234,8 +239,74 @@ def test_sector_kernel_matches_dense_synthesized():
         for n in (2, 3, 4, 6):
             if p.d**n > 512:  # the limit of the kernel checks
                 continue
-            assert_kernel_matches_dense(build_chain(p, n))
+            assert_kernel_matches_dense(p, n)
     assert p.d == 8  # the last term reaches d^N = 512
+    for _, p, n in synthesized_cases():
+        if p.d**n > 512:
+            assert_kernel_matches_dense(p, n)
+
+
+def assert_blocks_match_dense_gather(p, n: int) -> None:
+    """Every H_k, its orbits, periods and phases against the blocks gathered from the dense H."""
+    built = list(_momentum_blocks(build_chain(p, n)))
+    ref = list(dense_momentum_blocks(dense_chain(p, n), p.d, n))
+    assert len(built) == len(ref)
+    for (orbits, periods, phases, block), (r_orbits, r_periods, r_phases, r_block) in zip(
+        built, ref
+    ):
+        assert np.array_equal(orbits, r_orbits) and np.array_equal(periods, r_periods)
+        assert np.array_equal(phases, r_phases)
+        assert np.max(np.abs(block - r_block)) <= 1e-12
+        # The same blocks take the real solver.
+        assert (np.max(np.abs(block.imag)) == 0.0) == (np.max(np.abs(r_block.imag)) == 0.0)
+
+
+@pytest.mark.parametrize("name,ns", BUILTIN_CASES)
+def test_momentum_blocks_match_dense_gather_builtins(name, ns):
+    p = models.builtin(name)
+    for n in ns:
+        assert_blocks_match_dense_gather(p, n)
+    if name in ("ising", "fig2"):  # a real term reaches the real solver at k = 0 and k = N/2
+        blocks = [block for *_, block in _momentum_blocks(build_chain(p, 4))]
+        assert np.max(np.abs(blocks[0].imag)) == 0.0 and np.max(np.abs(blocks[2].imag)) == 0.0
+
+
+def test_momentum_blocks_match_dense_gather_synthesized():
+    for name, p, n in synthesized_cases():
+        assert np.max(np.abs(p.op.imag)) > 0, name
+        assert_blocks_match_dense_gather(p, n)
+
+
+# --- the build checks, on deliberately broken builds -------------------------
+
+
+def test_shift_check_catches_a_missing_wraparound_bond(monkeypatch):
+    monkeypatch.setattr(ed, "_bonds", lambda n: [(j, j + 1) for j in range(n - 1)])
+    with pytest.raises(AssertionError, match=r"chain build inconsistent \(shift [1-9]"):
+        integer_spectrum(build_chain(models.ising(), 3))
+
+
+def test_hermiticity_check_catches_a_non_hermitian_term():
+    op = models.fig2().op.copy()
+    op[0, 5] += 1e-6  # not mirrored at [5, 0]; LocalTerm.symmetrized would absorb it
+    bad = LocalTerm(4, op)
+    for check in (integer_spectrum, kernel_dim):
+        with pytest.raises(AssertionError, match=r"\(shift 0\.000e\+00, herm [1-9]"):
+            check(build_chain(bad, 3))
+    with pytest.raises(AssertionError, match=r"herm [1-9]"):
+        dense_chain(bad, 3)  # the reference agrees
+
+
+def test_fig2_n6_spectrum_allocates_no_dense_matrix():
+    # d^N = 4096: the dense chain matrix alone would take 268 MB.
+    tracemalloc.start()
+    try:
+        spec = integer_spectrum(build_chain(models.fig2(), 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert spec[0] == 64 and sum(spec.values()) == 4**6
 
 
 def test_sector_kernel_holds_states_of_short_period():
@@ -248,7 +319,7 @@ def test_sector_kernel_holds_states_of_short_period():
     assert dim == 2
     assert {int(np.argmax(np.abs(basis[:, k]))) for k in range(2)} == {0, 2**n - 1}
     # zero(2) at N = 4 keeps every state, so every momentum sector and period.
-    assert assert_kernel_matches_dense(build_chain(models.zero(2), 4)) == 16
+    assert assert_kernel_matches_dense(models.zero(2), 4) == 16
 
 
 def test_kernel_check_detects_a_kernel_off_by_1e_6():

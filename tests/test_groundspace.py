@@ -1,11 +1,13 @@
 """Tests for degeneracy counting, cycles, scale invariance, ground states."""
 
 import numpy as np
+import pytest
 
 import commchain as cc
 from commchain import groundspace, models
 from commchain.canonical import Analysis
 from commchain.ed import build_chain, integer_spectrum, kernel_dim
+from commchain.errors import TooLarge
 from commchain.groundspace import (
     TransferMatrices,
     assemble_state,
@@ -17,7 +19,7 @@ from commchain.groundspace import (
     spectral_census,
 )
 
-from conftest import full_pipeline
+from conftest import dense_chain, full_pipeline
 from test_graph import fig2_block_permutation
 
 
@@ -218,10 +220,26 @@ def test_ground_states_annihilated(small_corpus):
         a = Analysis(m.term)
         dec = a.dec
         gs = ground_states(a, 3, cap=64)
-        ch = build_chain(m.term, 3)
+        h = dense_chain(m.term, 3)
         for s in gs.states:
             v = assemble_state(dec, s.cycle, s.bond_vectors)
-            assert np.linalg.norm(ch.matrix @ v) < 1e-8, m.name
+            assert np.linalg.norm(h @ v) < 1e-8, m.name
+
+
+def test_capped_degeneracy_is_min_of_cap_and_degeneracy(fig2, small_corpus):
+    for term in [fig2] + [m.term for m in small_corpus]:
+        t = TransferMatrices.from_graph(Analysis(term).graph)
+        for n in range(1, 13):
+            exact = degeneracy(t, n)
+            for ceiling in (1, 2, 7, 64, 10_000):
+                assert groundspace._capped_degeneracy(t, n, ceiling) == min(exact, ceiling)
+
+
+def test_ground_states_refuse_past_the_entry_bound(ising):
+    a = Analysis(ising)
+    with pytest.raises(TooLarge, match="N=1000000"):
+        ground_states(a, 10**6)
+    assert len(ground_states(a, 4).states) == 2
 
 
 def test_ground_state_count_matches_degeneracy(small_corpus):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import commchain as cc
+from commchain import _linalg as la
 from commchain import models, operators
 from commchain.errors import InvalidSpec, NotHermitian, NotPSD
 from commchain.operators import (
@@ -242,3 +243,35 @@ def test_commutator_residual_slabs_match_one_pass(monkeypatch, small_corpus):
     whole = commutator_residual(term)
     monkeypatch.setattr(operators, "_SLAB_ENTRIES", 7 * term.d**2)
     assert abs(commutator_residual(term) - whole) <= 1e-13 * whole
+
+
+def _hermitian_basis_loop(d: int) -> np.ndarray:
+    """Reference: the hermitian basis built matrix by matrix, in the documented order."""
+    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for k in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[:k, :k] = np.eye(k)
+        m[k, k] = -k
+        mats.append(m / np.sqrt(k * (k + 1)))
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1.0 / np.sqrt(2)
+            mats.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = -1j / np.sqrt(2)
+            m[j, i] = 1j / np.sqrt(2)
+            mats.append(m)
+    return np.array(mats)
+
+
+def test_hermitian_basis_is_cached_and_read_only():
+    for d in range(1, 7):
+        basis = la.hermitian_basis(d)
+        assert basis is la.hermitian_basis(d)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 0.0
+        assert np.array_equal(basis, _hermitian_basis_loop(d))
+        gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+        assert np.allclose(gram, np.eye(d * d))
