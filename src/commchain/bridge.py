@@ -124,9 +124,10 @@ def solve_x(
     The hermitian solution space is the null space of the Gram matrix of
     the defect map over a hermitian basis.  Candidates tried: the
     projection of the identity first, then ``tries`` seeded random
-    mixtures, keeping the best minimal eigenvalue.  Returns None when
-    nothing positive definite is found; absence does not prove that no PD
-    solution exists.
+    mixtures, keeping the best minimal eigenvalue (the first on a tie).
+    All candidates are scored as one stack; the winner alone is rebuilt
+    and reported.  Returns None when nothing positive definite is found;
+    absence does not prove that no PD solution exists.
     """
     d = h.d
     basis = la.hermitian_basis(d)
@@ -143,31 +144,31 @@ def solve_x(
             return x
         return x * (np.sqrt(d) / nrm)
 
-    candidates = []
     id_coeffs = np.zeros(d * d)
     id_coeffs[0] = np.sqrt(d)  # identity in the hermitian basis
     proj = null.T @ id_coeffs
+    candidates = np.random.default_rng(seed).standard_normal((tries, null.shape[1]))
     if np.linalg.norm(proj) > 1e-12:
-        candidates.append(proj)
-    rng = np.random.default_rng(seed)
-    for _ in range(tries):
-        candidates.append(rng.standard_normal(null.shape[1]))
+        candidates = np.vstack([proj, candidates])
 
-    best: tuple[float, np.ndarray] | None = None
-    for c in candidates:
-        x = make_x(c)
-        if np.linalg.norm(x) < 1e-14:
-            continue
-        w = np.linalg.eigvalsh(x)
-        lo = float(w[0])
-        if -float(w[-1]) > lo:
-            x = -x
-            lo = -float(w[-1])
-        if best is None or lo > best[0]:
-            best = (lo, x)
-    if best is None or best[0] <= tol:
+    # Score: the larger of min eig and -max eig (X or -X), after scaling to
+    # ||X||_F = sqrt(d); zero-norm candidates are skipped.
+    xs = np.tensordot(candidates @ null.T, basis, axes=(1, 0))
+    norms = np.linalg.norm(xs, axis=(1, 2))
+    live = norms >= 1e-14
+    if not live.any():
         return None
-    lo, x = best
+    w = np.linalg.eigvalsh(xs[live] * (np.sqrt(d) / norms[live])[:, None, None])
+    best = candidates[live][int(np.argmax(np.maximum(w[:, 0], -w[:, -1])))]
+
+    x = make_x(best)
+    w = np.linalg.eigvalsh(x)
+    lo = float(w[0])
+    if -float(w[-1]) > lo:
+        x = -x
+        lo = -float(w[-1])
+    if lo <= tol:
+        return None
     # ||D(X)||_F <= 2 ||h||_F^2 ||X||_2: accept a relative defect of 1e-10.
     residual = _defect_norm(a, b, x)
     if residual > max(tol, 1e-10 * np.linalg.norm(h.op) ** 2 * np.linalg.norm(x, 2)):

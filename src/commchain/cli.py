@@ -32,10 +32,11 @@ from . import models
 from ._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
 from .canonical import Analysis, canonical_chain, canonical_hamiltonian, classify_phase
 from .ed import build_chain, integer_spectrum
-from .errors import CommchainError, NotCommuting, NotScaleInvariant
+from .errors import CommchainError, NotCommuting, NotScaleInvariant, TooLarge
 from .graph import export_dot
 from .groundspace import (
     TransferMatrices,
+    check_census_size,
     check_ground_size,
     degeneracy,
     ground_states,
@@ -47,6 +48,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_NOT_COMMUTING = 2
 EXIT_NOT_SCALE_INVARIANT = 3
+
+# Most chain lengths one --N list may name.
+MAX_N_LENGTHS = 10_000
 
 
 class _ReportTooLarge(CommchainError):
@@ -133,14 +137,18 @@ def _load_term(args) -> LocalTerm:
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    out: list[int] = []
+    """Chain lengths of ``2,5,7..9``; past ``MAX_N_LENGTHS`` lengths it refuses before expanding."""
+    parts: list[range] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, hi = part.split("..") if ".." in part else (part, part)
+        parts.append(range(int(lo), int(hi) + 1))
+    count = sum(len(r) for r in parts)
+    if count > MAX_N_LENGTHS:
+        raise TooLarge(
+            f"chain length list {spec!r} has {count} lengths, past the limit {MAX_N_LENGTHS}"
+        )
+    out = [n for r in parts for n in r]
     if not out or any(n < 1 for n in out):
         raise ValueError(f"bad chain length list {spec!r}")
     return out
@@ -231,6 +239,7 @@ def cmd_census(args) -> int:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
     t = TransferMatrices.from_graph(a.graph)
+    check_census_size(t, n_list)
     census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
     doc = {"census": census, "seed": args.seed, "tol": args.tol}
     _emit(doc, args.json)
@@ -370,27 +379,27 @@ def cmd_bridge(args) -> int:
     return _fail(f"unknown bridge action {args.action!r}", args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="commchain",
-        description="Analyze translation-invariant commuting spin-chain terms.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
+def _add_analyze(subs) -> None:
     sp = subs.add_parser("analyze", help="full phase classification report")
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 
+
+def _add_graph(subs) -> None:
     sp = subs.add_parser("graph", help="interaction graph (JSON and DOT)")
     _add_common(sp)
     sp.add_argument("--dot", help="write DOT here ('-' for stdout)")
     sp.set_defaults(func=cmd_graph)
 
+
+def _add_degeneracy(subs) -> None:
     sp = subs.add_parser("degeneracy", help="exact ground degeneracy over N")
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")
     sp.set_defaults(func=cmd_degeneracy)
 
+
+def _add_census(subs) -> None:
     sp = subs.add_parser(
         "census",
         help="exact energy census over N (bounded: fig2 up to N=2047, ising up to N=7678)",
@@ -399,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")
     sp.set_defaults(func=cmd_census)
 
+
+def _add_ground(subs) -> None:
     bound = (
         "bounded: at most 2^20 bond-vector entries, min(cap, degeneracy) x N x d^2 "
         "summed over N (ising up to N=131072)"
@@ -413,18 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=10_000, help="most states per chain length")
     sp.set_defaults(func=cmd_ground)
 
+
+def _add_canonical(subs) -> None:
     sp = subs.add_parser("canonical", help="canonicalization pipeline / normal form")
     _add_common(sp)
     sp.add_argument("--k", type=int, help="emit the normal form for degeneracy k")
     sp.add_argument("--d", type=int, help="site dimension for --k")
     sp.set_defaults(func=cmd_canonical)
 
+
+def _add_verify(subs) -> None:
     sp = subs.add_parser("verify", help="cross-check against exact diagonalization")
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 2..6")
     sp.add_argument("--ed-cap", type=int, default=4096, dest="ed_cap")
     sp.set_defaults(func=cmd_verify)
 
+
+def _add_bridge(subs) -> None:
     sp = subs.add_parser("bridge", help="non-commuting to commuting bridge tools")
     sp.add_argument(
         "action", choices=["mps-parent", "solve-x", "commutify", "polar-normalize"]
@@ -437,6 +454,48 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", help="output path (default stdout)")
     sp.set_defaults(func=cmd_bridge)
 
+
+# One builder per subcommand, in help order.
+_SUBCOMMANDS = {
+    "analyze": _add_analyze,
+    "graph": _add_graph,
+    "degeneracy": _add_degeneracy,
+    "census": _add_census,
+    "ground": _add_ground,
+    "canonical": _add_canonical,
+    "verify": _add_verify,
+    "bridge": _add_bridge,
+}
+
+
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes usage and error to stderr as argparse does, then raises instead of exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        text = f"{self.prog}: error: {message}"
+        sys.stderr.write(text + "\n")
+        raise _UsageError(text)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; for a known ``command``, with only that subcommand.
+
+    Subcommand parsers are equal either way; the full parser (no or an
+    unknown ``command``) is what top-level help and errors need.
+    """
+    parser = _Parser(
+        prog="commchain",
+        description="Analyze translation-invariant commuting spin-chain terms.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBCOMMANDS.items():
+        if command not in _SUBCOMMANDS or command == name:
+            add(subs)
     return parser
 
 
@@ -454,7 +513,11 @@ _EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    except _UsageError as exc:
+        return _fail(str(exc), argparse.Namespace(seed=0, tol=DEFAULT_TOL))
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

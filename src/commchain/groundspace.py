@@ -55,6 +55,7 @@ __all__ = [
     "loop_states",
     "ground_states",
     "check_ground_size",
+    "check_census_size",
     "assemble_state",
     "loop_mps_tensor",
     "mps_reconstruct",
@@ -626,6 +627,25 @@ def _garner(residues: np.ndarray, primes: list[int]) -> list[int]:
     return [int(v) for v in value]
 
 
+def check_census_size(t: TransferMatrices, ns: list[int]) -> None:
+    """Raise ``TooLarge`` at the first N in ``ns`` whose census is past ``MAX_CENSUS_ENTRIES``.
+
+    The census at N evaluates primes x L x nv^2 entries (see
+    ``spectral_census``); nothing is evaluated here.
+    """
+    nv = t.num_vertices
+    rho = max((sum(m) + sum(r) for m, r in zip(t.M, t.R)), default=0)
+    for n in ns:
+        size = 1 << n.bit_length()  # least power of two >= n + 1
+        bits = (math.log2(nv) + n * math.log2(rho)) if rho > 0 else 0.0
+        entries = (int(bits) // 30 + 1) * size * nv * nv
+        if entries > MAX_CENSUS_ENTRIES:
+            raise TooLarge(
+                f"census at N={n} on {nv} vertices needs about {entries} evaluation "
+                f"entries, past the limit {MAX_CENSUS_ENTRIES}"
+            )
+
+
 def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
     """Energy census dims[k] = [x^k] Tr((M + x R)^N), exact integers.
 
@@ -646,17 +666,10 @@ def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
+    check_census_size(t, [n])
     nv = t.num_vertices
     size = 1 << n.bit_length()  # least power of two >= n + 1
     s = [[t.M[a][b] + t.R[a][b] for b in range(nv)] for a in range(nv)]
-    rho = max((sum(row) for row in s), default=0)
-    bits = (math.log2(nv) + n * math.log2(rho)) if rho > 0 else 0.0
-    entries = (int(bits) // 30 + 1) * size * nv * nv
-    if entries > MAX_CENSUS_ENTRIES:
-        raise TooLarge(
-            f"census at N={n} on {nv} vertices needs about {entries} evaluation "
-            f"entries, past the limit {MAX_CENSUS_ENTRIES}"
-        )
     total = sum(row[i] for i, row in enumerate(_mat_pow(s, n)))
     primes: list[int] = []
     product = 1

@@ -259,6 +259,64 @@ def dense_kernel(h: np.ndarray, tol: float = 1e-8) -> tuple[int, np.ndarray]:
     return int(np.sum(mask)), v[:, mask]
 
 
+# --- per-candidate reference for the PD search -------------------------------
+
+
+def reference_solve_x(h, tol: float = 1e-9, seed: int = 0, tries: int = 200):
+    """Reference ``bridge.solve_x``: each candidate built, diagonalized and compared in turn.
+
+    Same null space, candidates and acceptance checks; a later candidate
+    replaces the best only when its minimal eigenvalue is strictly larger.
+    """
+    from commchain.bridge import NULL_RTOL, XCandidate, _defect_gram
+    from commchain.operators import _defect_norm, _inner_factors
+
+    d = h.d
+    basis = la.hermitian_basis(d)
+    a, b = _inner_factors(h)
+    lam, vecs = np.linalg.eigh(_defect_gram(a, b, basis))
+    null = vecs[:, lam <= NULL_RTOL * max(float(lam[-1]), 1.0)]
+    if null.shape[1] == 0:
+        return None
+
+    def make_x(coeffs):
+        x = np.tensordot(null @ coeffs, basis, axes=(0, 0))
+        nrm = np.linalg.norm(x)
+        if nrm < 1e-14:
+            return x
+        return x * (np.sqrt(d) / nrm)
+
+    candidates = []
+    id_coeffs = np.zeros(d * d)
+    id_coeffs[0] = np.sqrt(d)
+    proj = null.T @ id_coeffs
+    if np.linalg.norm(proj) > 1e-12:
+        candidates.append(proj)
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        candidates.append(rng.standard_normal(null.shape[1]))
+
+    best = None
+    for c in candidates:
+        x = make_x(c)
+        if np.linalg.norm(x) < 1e-14:
+            continue
+        w = np.linalg.eigvalsh(x)
+        lo = float(w[0])
+        if -float(w[-1]) > lo:
+            x = -x
+            lo = -float(w[-1])
+        if best is None or lo > best[0]:
+            best = (lo, x)
+    if best is None or best[0] <= tol:
+        return None
+    lo, x = best
+    residual = _defect_norm(a, b, x)
+    if residual > max(tol, 1e-10 * np.linalg.norm(h.op) ** 2 * np.linalg.norm(x, 2)):
+        return None
+    return XCandidate(x=x, min_eigenvalue=lo, residual=residual)
+
+
 def full_pipeline(term, tol=1e-9, seed=0):
     """(p, dec, bonds, graph) of one ``Analysis``, for tests."""
     a = Analysis(term, tol, seed)

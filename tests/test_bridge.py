@@ -21,7 +21,7 @@ from commchain.errors import CommutificationFailed, SingularS
 from commchain.groundspace import loop_states, loop_mps_tensor
 from commchain.operators import LocalTerm, _inner_factors, commutator_residual, synthesize_local_term
 
-from conftest import dense_eqx_defect, full_pipeline
+from conftest import dense_eqx_defect, full_pipeline, reference_solve_x
 
 
 def test_solve_x_commuting_has_identity(ising):
@@ -42,11 +42,14 @@ def test_solve_x_mps_parent():
     assert cand is not None and cand.min_eigenvalue > 0
 
 
-def test_solve_x_generic_not_found():
+def _generic_term():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = LocalTerm(2, (z + z.conj().T) / 2.0)
-    assert solve_x(h, seed=0) is None
+    return LocalTerm(2, (z + z.conj().T) / 2.0)
+
+
+def test_solve_x_generic_not_found():
+    assert solve_x(_generic_term(), seed=0) is None
 
 
 def test_verify_x_negative_definite():
@@ -119,6 +122,32 @@ def test_solve_x_on_deformed_terms():
         out = commutify(h, cand.x)
         assert out.certificate["kernel_match"]
         assert out.certificate["x_residual"] <= 1e-9
+
+
+def test_stacked_pd_search_matches_per_candidate_reference():
+    # The deformed specs are the benchmark's d = 5 and d = 6 bridge terms.
+    terms = [models.ising(), _generic_term()]
+    terms += [mps_parent(random_injective_map(2, seed=s)).h for s in range(10)]
+    for seed in (5, 6, 7):
+        terms.append(_deformed([(1, 1), (2, 2)], [[1, 1], [0, 1]], seed=seed))
+        terms.append(_deformed([(1, 2), (2, 2)], [[1, 2], [0, 1]], seed=seed))
+    found = 0
+    for i, h in enumerate(terms):
+        for seed in range(4):
+            got, ref = solve_x(h, seed=seed), reference_solve_x(h, seed=seed)
+            assert (got is None) == (ref is None), (i, seed)
+            if ref is None:
+                continue
+            found += 1
+            # Candidates of a one-dimensional solution space tie to rounding,
+            # so the winner, and X with it, may move by a few ulps.
+            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), (i, seed)
+            assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * abs(ref.min_eigenvalue)
+            # The residual is a rounding-level defect: compare it on the
+            # scale of solve_x's acceptance bound, ||h||_F^2 ||X||_2.
+            scale = np.linalg.norm(h.op) ** 2 * np.linalg.norm(ref.x, 2)
+            assert abs(got.residual - ref.residual) <= 1e-12 * scale, (i, seed)
+    assert found == 4 * (len(terms) - 1)  # every term but the generic one
 
 
 def test_commutify_identity_on_commuting(ising):

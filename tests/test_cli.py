@@ -1,13 +1,16 @@
 """CLI subcommand tests: formats, exit codes, determinism, piping."""
 
+import argparse
 import itertools
 import json
 import math
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import commchain as cc
 from commchain import cli, decomposition, groundspace, models, operators
@@ -425,3 +428,127 @@ def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
         expected["commutator_residual"] += pruned
         assert calls == expected, (argv, calls)
         assert len({id(t) for t in residual_terms}) == len(residual_terms), argv
+
+
+# --- the parser: one subcommand built per job ---------------------------------
+
+SAMPLE_ARGV = {
+    "analyze": ["analyze", "--model", "ising", "--seed", "3"],
+    "graph": ["graph", "--input", "term.json", "--dot", "-"],
+    "degeneracy": ["degeneracy", "--model", "fig2", "--N", "2..6", "--tol", "1e-7"],
+    "census": ["census", "--model", "ising", "--N", "3,5", "--json", "out.json"],
+    "ground": ["ground", "--model", "zero(2)", "--N", "3", "--cap", "4"],
+    "canonical": ["canonical", "--k", "2", "--d", "3"],
+    "verify": ["verify", "--model", "fig2", "--N", "2..3", "--ed-cap", "100"],
+    "bridge": ["bridge", "solve-x", "--input", "parent.json", "--seed", "7"],
+}
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_one_subcommand_parser_equals_the_full_one():
+    full = cli.build_parser()
+    assert list(_subparsers(full)) == list(SAMPLE_ARGV)
+    assert list(_subparsers(cli.build_parser("nosuch"))) == list(SAMPLE_ARGV)
+    for name, argv in SAMPLE_ARGV.items():
+        one = cli.build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+        assert _subparsers(one)[name].format_usage() == _subparsers(full)[name].format_usage()
+        for args in (argv, argv + ["--tol", "1e-3", "--seed", "9"]):
+            assert one.parse_args(args) == full.parse_args(args), args
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.build_parser().format_help()
+    for name in SAMPLE_ARGV:
+        assert name in out
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _subparsers(cli.build_parser())["census"].format_help()
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["analyze", "--model", "ising"]) == 0
+    assert added == ["analyze"]
+    added.clear()
+    assert main(["nosuch"]) == 1
+    assert added == list(SAMPLE_ARGV)
+    capsys.readouterr()
+
+
+def test_usage_errors_exit_1_with_a_json_error(capsys):
+    for argv, expect in (
+        (["census", "--model", "ising"], "the following arguments are required: --N"),
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        ([], "the following arguments are required: command"),
+        (["analyze", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["bridge", "solve-y"], "argument action: invalid choice: 'solve-y'"),
+        (["analyze", "--model", "ising", "--bogus"], "unrecognized arguments: --bogus"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        doc = json.loads(captured.out)
+        assert expect in doc["error"], argv
+        assert doc["seed"] == 0 and doc["tol"] == operators.DEFAULT_TOL
+        # argparse's usage text and error line stay on stderr.
+        assert captured.err.startswith("usage: commchain")
+        assert captured.err.endswith(doc["error"] + "\n")
+
+
+# --- chain length lists -------------------------------------------------------
+
+
+def test_n_list_length_is_bounded_before_expanding():
+    limit = cli.MAX_N_LENGTHS
+    assert cli._parse_n_list(f"1..{limit}") == list(range(1, limit + 1))
+    assert cli._parse_n_list("2, 5,7..9") == [2, 5, 7, 8, 9]
+    for spec in (f"1..{limit + 1}", f"1..{limit // 2},1..{limit // 2 + 1}", "2..20000000"):
+        with pytest.raises(cli.TooLarge, match=f"past the limit {limit}"):
+            cli._parse_n_list(spec)
+    for spec in ("0..3", "5..2", "abc", "1..2..3", ""):
+        with pytest.raises(ValueError):
+            cli._parse_n_list(spec)
+
+
+def test_long_n_lists_are_refused_fast_and_small(capsys):
+    for argv in (
+        ["census", "--model", "ising", "--N", "2..20000000"],
+        ["degeneracy", "--model", "ising", "--N", "2..20000000"],
+        # fig2's census is bounded at N=2047: nothing is computed before the refusal.
+        ["census", "--model", "fig2", "--N", "2047,2048"],
+    ):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code, out = run_cli(capsys, argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 1, argv
+        assert "past the limit" in json.loads(out)["error"], argv
+        assert elapsed < 1.0 and peak < 100 * 2**20, (argv, elapsed, peak)
+
+
+def test_census_checks_every_length_before_the_first(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "spectral_census", lambda t, n: calls.append(n))
+    code, out = run_cli(capsys, ["census", "--model", "fig2", "--N", "3,4,5000"])
+    assert code == 1
+    assert "N=5000" in json.loads(out)["error"]
+    assert calls == []
