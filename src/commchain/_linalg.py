@@ -35,6 +35,11 @@ __all__ = [
     "complex_from_json",
 ]
 
+# Gap, relative to max(1, spread), that separates two eigenvalue clusters.
+CLUSTER_RTOL = 1e-6
+# Residual norm below which a completion candidate counts as dependent.
+COMPLETION_TOL = 1e-7
+
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
@@ -145,10 +150,10 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_eigenvalues(w: np.ndarray, rel_gap: float = 1e-6) -> list[slice]:
+def cluster_eigenvalues(w: np.ndarray) -> list[slice]:
     """Group sorted eigenvalues into clusters separated by a relative gap.
 
-    The gap threshold is relative to max(1, spread of the spectrum).
+    The gap threshold is ``CLUSTER_RTOL`` times max(1, spread of the spectrum).
     Returns slices into the sorted array.
     """
     n = len(w)
@@ -157,13 +162,13 @@ def cluster_eigenvalues(w: np.ndarray, rel_gap: float = 1e-6) -> list[slice]:
     scale = max(1.0, float(w[-1] - w[0]), float(np.max(np.abs(w))))
     cuts = [0]
     for i in range(n - 1):
-        if w[i + 1] - w[i] > rel_gap * scale:
+        if w[i + 1] - w[i] > CLUSTER_RTOL * scale:
             cuts.append(i + 1)
     cuts.append(n)
     return [slice(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
-def complete_orthonormal(v: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+def complete_orthonormal(v: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis whose first column is ``v/|v|``.
 
     Completes with standard basis vectors by Gram-Schmidt, skipping the
@@ -179,7 +184,7 @@ def complete_orthonormal(v: np.ndarray, tol: float = 1e-7) -> np.ndarray:
         for c in cols:
             e = e - c * np.vdot(c, e)
         nrm = np.linalg.norm(e)
-        if nrm > tol:
+        if nrm > COMPLETION_TOL:
             cols.append(e / nrm)
     if len(cols) != n:
         raise RuntimeError("orthonormal completion failed")

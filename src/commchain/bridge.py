@@ -11,7 +11,8 @@ is linear in X, so the solution space is a null space computation; the
 positive-definite search inside it is a bounded randomized scan and its
 failure does not certify nonexistence.
 
-With h = sum_k s_k A_k (x) B_k (orthonormal Schmidt factors), the defect
+With h = sum_k s_k A_k (x) B_k (the hermitian, Hilbert-Schmidt
+orthonormal factors of ``operators.operator_schmidt``), the defect
 is D(X) = sum_ij s_i s_j A_i (x) (B_i X A_j - A_j X B_i) (x) B_j.  The
 residual of X is ||D(X)||_F, which bounds the spectral norm from above
 and is at most d^(3/2) times it; the solution space is the null space of
@@ -36,8 +37,8 @@ from .operators import (
     LocalTerm,
     ProjectorTerm,
     _defect_norm,
-    _inner_factors,
     commutator_residual,
+    operator_schmidt,
     projectorize,
 )
 
@@ -88,8 +89,7 @@ class VerifyX:
 
 
 def verify_x(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> VerifyX:
-    a, b = _inner_factors(h)
-    residual = _defect_norm(a, b, x)
+    residual = _defect_norm(*operator_schmidt(h, tol).inner, x)
     w = np.linalg.eigvalsh((x + la.dag(x)) / 2.0)
     return VerifyX(residual=residual, pd=bool(w[0] > tol), min_eigenvalue=float(w[0]))
 
@@ -116,14 +116,12 @@ def _defect_gram(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (la.dag(u) @ g @ u).real
 
 
-def solve_x(
-    h: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0, tries: int = PD_SEARCH_TRIES
-) -> XCandidate | None:
+def solve_x(h: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0) -> XCandidate | None:
     """Search the solution space of the intertwining condition for a PD element.
 
     The hermitian solution space is the null space of the Gram matrix of
     the defect map over a hermitian basis.  Candidates tried: the
-    projection of the identity first, then ``tries`` seeded random
+    projection of the identity first, then ``PD_SEARCH_TRIES`` seeded random
     mixtures, keeping the best minimal eigenvalue (the first on a tie).
     All candidates are scored as one stack; the winner alone is rebuilt
     and reported.  Returns None when nothing positive definite is found;
@@ -131,7 +129,7 @@ def solve_x(
     """
     d = h.d
     basis = la.hermitian_basis(d)
-    a, b = _inner_factors(h)
+    a, b = operator_schmidt(h, tol).inner
     lam, vecs = np.linalg.eigh(_defect_gram(a, b, basis))
     null = vecs[:, lam <= NULL_RTOL * max(float(lam[-1]), 1.0)]
     if null.shape[1] == 0:
@@ -147,7 +145,7 @@ def solve_x(
     id_coeffs = np.zeros(d * d)
     id_coeffs[0] = np.sqrt(d)  # identity in the hermitian basis
     proj = null.T @ id_coeffs
-    candidates = np.random.default_rng(seed).standard_normal((tries, null.shape[1]))
+    candidates = np.random.default_rng(seed).standard_normal((PD_SEARCH_TRIES, null.shape[1]))
     if np.linalg.norm(proj) > 1e-12:
         candidates = np.vstack([proj, candidates])
 
@@ -203,7 +201,7 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
     conj = np.kron(root, root)
     h_prime = LocalTerm(h.d, (conj @ h.op @ conj + la.dag(conj @ h.op @ conj)) / 2.0)
     p_prime = projectorize(h_prime, max(tol, 1e-9))
-    resid = commutator_residual(p_prime)
+    resid = commutator_residual(operator_schmidt(p_prime, tol))
     if resid > np.sqrt(tol):
         raise CommutificationFailed(
             f"conjugated term is not commuting (residual {resid:.3e}); X is invalid"

@@ -42,9 +42,11 @@ from .operators import (
     DEFAULT_TOL,
     CommutingCheck,
     LocalTerm,
+    OperatorSchmidt,
     ProjectorTerm,
     assemble_two_site,
     check_commuting,
+    operator_schmidt,
     projectorize,
 )
 
@@ -66,10 +68,12 @@ class Analysis:
     """The pipeline of one term, each stage computed once, on first access.
 
     ``p`` validates a ``ProjectorTerm`` and uses it as given (a mislabelled
-    one is an error) and projectorizes any other term; ``commuting`` is the
-    commutator gate at ``tol``; ``dec`` raises ``NotCommuting`` when the
-    gate failed and otherwise decomposes without recomputing the residual
-    (this gate is stricter than ``decompose_site``'s sqrt(tol));
+    one is an error) and projectorizes any other term; ``schmidt`` is its
+    one operator-Schmidt factorization, read by the next two stages;
+    ``commuting`` is the commutator gate at ``tol``; ``dec`` raises
+    ``NotCommuting`` when the gate failed and otherwise decomposes without
+    recomputing the residual (this gate is stricter than
+    ``decompose_site``'s sqrt(tol));
     ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
     raises is not cached, so the next access raises again.
     """
@@ -85,14 +89,18 @@ class Analysis:
         return projectorize(self.term, self.tol)
 
     @cached_property
+    def schmidt(self) -> OperatorSchmidt:
+        return operator_schmidt(self.p, self.tol)
+
+    @cached_property
     def commuting(self) -> CommutingCheck:
-        return check_commuting(self.p, self.tol)
+        return check_commuting(self.schmidt, self.tol)
 
     @cached_property
     def dec(self) -> SiteDecomposition:
         if not self.commuting.commuting:
             raise NotCommuting(self.commuting.residual)
-        return _decompose_commuting(self.p, self.tol, self.seed)
+        return _decompose_commuting(self.schmidt, self.tol, self.seed)
 
     @cached_property
     def bonds(self) -> list[list[BondFactor]]:
@@ -128,7 +136,7 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
     op = assemble_two_site(dec.d, dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
     pruned = ProjectorTerm(dec.d, (op + la.dag(op)) / 2.0)
     pruned.validate()
-    chk = check_commuting(pruned, max(analysis.tol, 1e-10))
+    chk = check_commuting(operator_schmidt(pruned), max(analysis.tol, 1e-10))
     if not chk.commuting:
         raise CommchainError(f"pruned term not commuting (residual {chk.residual:.3e})")
     _check_same_chain_kernel(analysis.p, pruned)

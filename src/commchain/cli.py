@@ -154,11 +154,28 @@ def _parse_n_list(spec: str) -> list[int]:
     return out
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse ``type``: ``kind`` of the text, a usage error unless ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_count = _checked(int, lambda v: v >= 1, "must be >= 1")
+
+
 def _add_common(sub, needs_input=True):
     if needs_input:
         sub.add_argument("--model", help="builtin model: ising, fig2, zero(d)")
         sub.add_argument("--input", help="local term JSON file ('-' for stdin)")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", help="output path (default stdout)")
 
@@ -265,7 +282,7 @@ def cmd_ground(args) -> int:
 def cmd_canonical(args) -> int:
     if args.k is not None or args.d is not None:
         if args.k is None or args.d is None:
-            return _fail("--k and --d must be given together", args)
+            raise CommchainError("--k and --d must be given together")
         rep = canonical_hamiltonian(args.k, args.d)
         _emit(
             {"canonical_rep": rep.to_dict(), "k": args.k, "seed": args.seed, "tol": args.tol},
@@ -358,25 +375,24 @@ def cmd_bridge(args) -> int:
         out.update({"seed": args.seed, "tol": args.tol})
         _emit(out, args.json)
         return EXIT_OK
-    if args.action == "commutify":
-        doc = _read_doc(args.input)
-        h = LocalTerm.from_dict(doc["h"], args.tol)
-        xc = doc.get("x_candidate", doc)
-        if "X" not in xc or xc.get("status") == "not_found":
-            return _fail("no X candidate in input document", args)
-        x = complex_from_json(xc["X"])
-        res = bridge_mod.commutify(h, x, args.tol)
-        _emit(
-            {
-                "h_prime": res.h_prime.to_dict(),
-                "certificate": res.certificate,
-                "seed": args.seed,
-                "tol": args.tol,
-            },
-            args.json,
-        )
-        return EXIT_OK
-    return _fail(f"unknown bridge action {args.action!r}", args)
+    # commutify, the last of the parser's choices
+    doc = _read_doc(args.input)
+    h = LocalTerm.from_dict(doc["h"], args.tol)
+    xc = doc.get("x_candidate", doc)
+    if "X" not in xc or xc.get("status") == "not_found":
+        raise CommchainError("no X candidate in input document")
+    x = complex_from_json(xc["X"])
+    res = bridge_mod.commutify(h, x, args.tol)
+    _emit(
+        {
+            "h_prime": res.h_prime.to_dict(),
+            "certificate": res.certificate,
+            "seed": args.seed,
+            "tol": args.tol,
+        },
+        args.json,
+    )
+    return EXIT_OK
 
 
 def _add_analyze(subs) -> None:
@@ -421,7 +437,7 @@ def _add_ground(subs) -> None:
     )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 4")
-    sp.add_argument("--cap", type=int, default=10_000, help="most states per chain length")
+    sp.add_argument("--cap", type=_count, default=10_000, help="most states per chain length")
     sp.set_defaults(func=cmd_ground)
 
 
@@ -447,11 +463,9 @@ def _add_bridge(subs) -> None:
         "action", choices=["mps-parent", "solve-x", "commutify", "polar-normalize"]
     )
     sp.add_argument("--input", help="input JSON document ('-' for stdin)")
-    sp.add_argument("--chi", type=int, default=2, help="bond dimension for mps-parent")
+    sp.add_argument("--chi", type=_count, default=2, help="bond dimension for mps-parent")
     sp.add_argument("--s-matrix", dest="s_matrix", help="JSON file with an S matrix")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", help="output path (default stdout)")
+    _add_common(sp, needs_input=False)
     sp.set_defaults(func=cmd_bridge)
 
 

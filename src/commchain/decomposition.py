@@ -33,7 +33,13 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DecompositionFailed
-from .operators import DEFAULT_TOL, ProjectorTerm, commutator_residual, operator_schmidt
+from .operators import (
+    DEFAULT_TOL,
+    OperatorSchmidt,
+    ProjectorTerm,
+    commutator_residual,
+    operator_schmidt,
+)
 
 MAX_RESEEDS = 8
 
@@ -136,27 +142,6 @@ class SiteDecomposition:
     @property
     def block_dims(self) -> list[tuple[int, int]]:
         return [(b.l, b.r) for b in self.blocks]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "blocks": [
-                {
-                    "l": b.l,
-                    "r": b.r,
-                    "isometry": la.complex_to_json(b.isometry),
-                }
-                for b in self.blocks
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SiteDecomposition":
-        blocks = []
-        for rec in data["blocks"]:
-            iso = la.complex_from_json(rec["isometry"])
-            blocks.append(Block(l=int(rec["l"]), r=int(rec["r"]), isometry=iso))
-        return cls(d=int(data["d"]), blocks=blocks)
 
     def completeness_defect(self) -> float:
         total = np.zeros((self.d, self.d), dtype=complex)
@@ -270,10 +255,6 @@ def _vertex_key(block: Block) -> tuple:
     return (block.l * block.r, block.l, tuple(proj.real.ravel()), tuple(proj.imag.ravel()))
 
 
-def _family(factors: list[np.ndarray], d: int) -> np.ndarray:
-    return np.asarray(factors, dtype=complex).reshape(-1, d, d)
-
-
 def decompose_site(
     p: ProjectorTerm, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> SiteDecomposition:
@@ -283,20 +264,20 @@ def decompose_site(
     are sorted by ``_vertex_key``, which depends on the term only; the
     isometries within a block are reproducible for a fixed seed.
     """
-    resid = commutator_residual(p)
+    f = operator_schmidt(p, tol)
+    resid = commutator_residual(f)
     if resid > np.sqrt(tol):
         raise DecompositionFailed(
             f"input term is not commuting (commutator residual {resid:.3e})"
         )
-    return _decompose_commuting(p, tol, seed)
+    return _decompose_commuting(f, tol, seed)
 
 
-def _decompose_commuting(p: ProjectorTerm, tol: float, seed: int) -> SiteDecomposition:
-    """``decompose_site`` without its gate, for callers that gated ``p`` already."""
-    d = p.d
-    pair = operator_schmidt(p, tol)
-    left_family = _family(pair.right_factors, d)  # act on the site from the left bond
-    right_family = _family(pair.left_factors, d)  # act on the site from the right bond
+def _decompose_commuting(f: OperatorSchmidt, tol: float, seed: int) -> SiteDecomposition:
+    """``decompose_site`` on the factors of a projector its caller gated already."""
+    d = f.d
+    # B_k act on the site from its left bond, A_k from its right bond.
+    right_family, left_family = f.folded
     joint = commutant(np.concatenate([left_family, right_family]), tol)
     rng = np.random.default_rng(seed)
     thresh = np.sqrt(tol)

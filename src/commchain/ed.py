@@ -190,7 +190,7 @@ def _momentum_blocks(chain: ChainHamiltonian):
         yield images[:, keep], period[keep], phases, block
 
 
-def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, np.ndarray]:
+def kernel_dim(chain: ChainHamiltonian) -> tuple[int, np.ndarray]:
     """Kernel dimension and an orthonormal kernel basis (columns).
 
     Each momentum block's kernel vectors c are expanded into the full
@@ -203,7 +203,7 @@ def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, n
     cols = [np.zeros((size, 0), dtype=complex)]
     for orbits, periods, phases, block in _momentum_blocks(chain):
         w, c = np.linalg.eigh(_real_if_exact(block))
-        c = c[:, w < tol] / np.sqrt(periods)[:, None]
+        c = c[:, w < KERNEL_TOL] / np.sqrt(periods)[:, None]
         v = np.zeros((size, c.shape[1]), dtype=complex)
         # T^l r for l < p_r are the distinct members of the orbit of r.
         for step in range(chain.N):
@@ -214,7 +214,7 @@ def kernel_dim(chain: ChainHamiltonian, tol: float = KERNEL_TOL) -> tuple[int, n
     return basis.shape[1], basis
 
 
-def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[int, int]:
+def integer_spectrum(chain: ChainHamiltonian) -> dict[int, int]:
     """Eigenvalue multiplicities, requiring every eigenvalue to be integral.
 
     The eigenvalues are gathered sector by sector from the momentum blocks.
@@ -226,7 +226,7 @@ def integer_spectrum(chain: ChainHamiltonian, tol: float = INTEGER_TOL) -> dict[
     )
     rounded = np.rint(w)
     worst = float(np.max(np.abs(w - rounded)))
-    if worst > tol:
+    if worst > INTEGER_TOL:
         raise NonIntegerSpectrum(f"eigenvalue off integer by {worst:.3e}")
     out: dict[int, int] = {}
     for v in rounded.astype(int):
@@ -240,11 +240,11 @@ def kernel_check_length(d: int) -> int | None:
     return n if d**n <= KERNEL_CHECK_CAP else None
 
 
-def same_subspace(a: np.ndarray, b: np.ndarray, tol: float = KERNEL_TOL) -> bool:
-    """Equal dimension and largest principal angle below ``tol`` (as a sine)."""
+def same_subspace(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dimension and largest principal angle below ``KERNEL_TOL`` (as a sine)."""
     if a.shape[1] != b.shape[1]:
         return False
-    return la.subspace_angle_sin(a, b) < tol
+    return la.subspace_angle_sin(a, b) < KERNEL_TOL
 
 
 def apply_sitewise(x: np.ndarray, n: int, vec_or_cols: np.ndarray) -> np.ndarray:

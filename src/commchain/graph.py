@@ -48,30 +48,12 @@ class InteractionGraph:
     R: np.ndarray  # ranks, dtype int
     block_dims: list[tuple[int, int]]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(self.num_vertices)
-            for b in range(self.num_vertices)
-            if self.M[a, b] > 0
-        ]
-
     def to_dict(self) -> dict:
         return {
             "M": self.M.tolist(),
             "R": self.R.tolist(),
             "blocks": [[l, r] for l, r in self.block_dims],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InteractionGraph":
-        m = np.array(data["M"], dtype=int)
-        return cls(
-            num_vertices=m.shape[0],
-            M=m,
-            R=np.array(data["R"], dtype=int),
-            block_dims=[(int(l), int(r)) for l, r in data["blocks"]],
-        )
 
 
 def extract_bond_projectors(

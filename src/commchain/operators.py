@@ -2,16 +2,19 @@
 
 A translation-invariant chain is defined by a single hermitian operator on
 two adjacent sites of local dimension d.  This module turns such a term
-into a projector, tests whether the resulting chain is commuting, computes
-the operator Schmidt decomposition across the two-site cut (with hermitian
-factors), and synthesizes random commuting projectors with a prescribed
-block/graph structure for testing.
+into a projector, computes its operator Schmidt decomposition across the
+two-site cut, h = sum_k s_k A_k (x) B_k with hermitian factors, tests
+whether the resulting chain is commuting, and synthesizes random
+commuting projectors with a prescribed block/graph structure for testing.
 
-The commutator residual is the Frobenius norm of C = [h x 1, 1 x h],
-computed from the operator Schmidt factors of h.  As C has rank at most
-d^3, ||C||_2 <= ||C||_F <= d^(3/2) ||C||_2: the gates on it (``<= tol`` in
-``check_commuting``, ``<= sqrt(tol)`` in ``decompose_site``) are never
-looser than the same gates on the spectral norm.
+One factorization, ``operator_schmidt``, feeds everything read from the
+factors: the commutator gate, the site decomposition (which reads the
+C*-algebras the factors generate) and the bridge's defect map.  The
+commutator residual is the Frobenius norm of C = [h x 1, 1 x h], computed
+from those factors.  As C has rank at most d^3, ||C||_2 <= ||C||_F <=
+d^(3/2) ||C||_2: the gates on it (``<= tol`` in ``check_commuting``,
+``<= sqrt(tol)`` in ``decompose_site``) are never looser than the same
+gates on the spectral norm.
 
 Conventions: the two-site basis is |i> x |j| with flat index i*d + j, the
 left site first.
@@ -20,6 +23,7 @@ left site first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +35,8 @@ DEFAULT_TOL = 1e-9
 # Relative cutoff for treating singular values / eigenvalues as zero.
 RANK_RTOL = 1e-9
 
-
-def _rank_cut(s: np.ndarray) -> float:
-    top = float(s[0]) if s.size else 0.0
-    return RANK_RTOL * max(top, 1.0)
+# Largest hermiticity or idempotency defect of a valid ProjectorTerm.
+PROJECTOR_TOL = 1e-8
 
 
 @dataclass
@@ -77,34 +79,57 @@ class LocalTerm:
 class ProjectorTerm(LocalTerm):
     """Local term that is an orthogonal projector."""
 
-    def __post_init__(self):
-        super().__post_init__()
-
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         herm = la.hermiticity_defect(self.op)
         idem = la.op_norm(self.op @ self.op - self.op)
-        if herm > tol or idem > tol:
+        if herm > PROJECTOR_TOL or idem > PROJECTOR_TOL:
             raise ValueError(
                 f"not a projector: hermiticity defect {herm:.3e}, idempotency defect {idem:.3e}"
             )
 
 
 @dataclass
-class SchmidtPair:
-    """Hermitian factor lists with P = sum_i left[i] (x) right[i]."""
+class OperatorSchmidt:
+    """h = sum_k s[k] A_k (x) B_k across the two-site cut (A_k on the left site).
 
-    left_factors: list[np.ndarray]
-    right_factors: list[np.ndarray]
+    ``s`` is descending and keeps every coefficient above the SVD's own
+    resolution, s_0 d^2 eps.  ``coords`` holds the real coordinates of the
+    A_k and of the B_k in ``hermitian_basis(d)``, as orthonormal rows, so
+    the factors are hermitian and Hilbert-Schmidt orthonormal.
+    """
+
+    d: int
+    s: np.ndarray  # (r,)
+    coords: tuple[np.ndarray, np.ndarray]  # (r, d^2) each
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A_k, B_k), each of shape (r, d, d)."""
+        basis = la.hermitian_basis(self.d).reshape(self.d**2, self.d**2)
+        return tuple((c @ basis).reshape(-1, self.d, self.d) for c in self.coords)
 
     @property
-    def rank(self) -> int:
-        return len(self.left_factors)
+    def inner(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s_k A_k, s_k B_k): what a three-site product meets on the middle site."""
+        return tuple(self.s[:, None, None] * f for f in self.factors)
 
-    def reconstruct(self, d: int) -> np.ndarray:
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for a, b in zip(self.left_factors, self.right_factors):
-            out += np.kron(a, b)
-        return out
+    @cached_property
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(s_k) A_k, sqrt(s_k) B_k) for the s_k above ``RANK_RTOL * max(s_0, 1)``.
+
+        The site decomposition splits the site along these two families.
+        The cut keeps a prefix of ``s``; each factor is contracted from its
+        folded coordinates.
+        """
+        rank = int(np.count_nonzero(self.s > RANK_RTOL * max(self.s.max(initial=0.0), 1.0)))
+        basis = la.hermitian_basis(self.d)
+        return tuple(
+            np.array(
+                [np.tensordot(c[k] * np.sqrt(self.s[k]), basis, axes=(0, 0)) for k in range(rank)],
+                dtype=complex,
+            ).reshape(-1, self.d, self.d)
+            for c in self.coords
+        )
 
 
 @dataclass
@@ -130,23 +155,6 @@ def projectorize(h: LocalTerm, tol: float = DEFAULT_TOL) -> ProjectorTerm:
     keep = w > tol
     p = (v[:, keep] * 1.0) @ la.dag(v[:, keep])
     return ProjectorTerm(h.d, (p + la.dag(p)) / 2.0)
-
-
-def _inner_factors(term: LocalTerm) -> tuple[np.ndarray, np.ndarray]:
-    """Inner Schmidt factors (s_k A_k, s_k B_k) of h = sum_k s_k A_k (x) B_k.
-
-    One SVD of the reshuffled d^2 x d^2 matrix gives Hilbert-Schmidt
-    orthonormal A_k, B_k.  Coefficients below the SVD's own resolution
-    (numpy's matrix_rank cut, s_0 d^2 eps) are dropped.  Returns two
-    arrays of shape (r, d, d).
-    """
-    d = term.d
-    r = term.op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    u, s, vh = np.linalg.svd(r)
-    keep = s > s[0] * d * d * np.finfo(float).eps
-    a = (u[:, keep] * s[keep]).T.reshape(-1, d, d)
-    b = (vh[keep] * s[keep, None]).reshape(-1, d, d)
-    return a, b
 
 
 # Entries of one (i-chunk, j, d, d) defect slab; bounds memory at large d.
@@ -177,30 +185,30 @@ def _defect_norm(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def commutator_residual(term: LocalTerm) -> float:
-    """Frobenius norm of [h x 1, 1 x h] on three sites.
+def commutator_residual(f: OperatorSchmidt) -> float:
+    """Frobenius norm of [h x 1, 1 x h] on three sites, from the factors of h.
 
     [h x 1, 1 x h] = sum_kl s_k s_l A_k (x) [B_k, A_l] (x) B_l, so the
     squared norm is sum_kl s_k^2 s_l^2 ||[B_k, A_l]||_F^2: O(d^7), with no
     d^3 x d^3 operator.
     """
-    a, b = _inner_factors(term)
-    return _defect_norm(a, b, np.eye(term.d))
+    return _defect_norm(*f.inner, np.eye(f.d))
 
 
-def check_commuting(p: ProjectorTerm, tol: float = DEFAULT_TOL) -> CommutingCheck:
-    """Decide whether the chain built from ``p`` is commuting."""
-    residual = commutator_residual(p)
+def check_commuting(f: OperatorSchmidt, tol: float = DEFAULT_TOL) -> CommutingCheck:
+    """Decide whether the chain built from the factored term is commuting."""
+    residual = commutator_residual(f)
     return CommutingCheck(commuting=residual <= tol, residual=residual)
 
 
-def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> SchmidtPair:
+def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> OperatorSchmidt:
     """Schmidt decomposition of ``p`` across the two-site cut.
 
     The decomposition is carried out in the real vector space of hermitian
-    matrices, so both factor lists come out hermitian and the coefficient
-    matrix is a real SVD problem.  Schmidt coefficients are folded into the
-    factors symmetrically.
+    matrices, so both factor stacks come out hermitian and the coefficient
+    matrix is a real SVD problem.  Its imaginary part is rounding only for
+    a hermitian ``p``; past max(sqrt(tol), 1e-7) max(||p||_F, 1) the term
+    is refused.
     """
     d = p.d
     basis = la.hermitian_basis(d)
@@ -208,19 +216,12 @@ def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> SchmidtPair:
     # reshuffle: R[(i,i'),(j,j')] = P[(i,j),(i',j')]
     r = p.op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     c = la.dag(u) @ r @ u.conj()
-    imag = float(np.max(np.abs(c.imag))) if c.size else 0.0
-    if imag > max(np.sqrt(tol), 1e-7):
+    imag = float(np.max(np.abs(c.imag)))
+    if imag > max(np.sqrt(tol), 1e-7) * max(float(np.linalg.norm(p.op)), 1.0):
         raise NotHermitian(f"coefficient matrix not real (defect {imag:.3e})")
     o, s, qt = np.linalg.svd(c.real)
-    cut = _rank_cut(s)
-    left, right = [], []
-    for k in range(len(s)):
-        if s[k] <= cut:
-            break
-        root = np.sqrt(s[k])
-        left.append(np.tensordot(o[:, k] * root, basis, axes=(0, 0)))
-        right.append(np.tensordot(qt[k] * root, basis, axes=(0, 0)))
-    return SchmidtPair(left_factors=left, right_factors=right)
+    keep = int(np.count_nonzero(s > s[0] * d * d * np.finfo(float).eps))
+    return OperatorSchmidt(d=d, s=s[:keep], coords=(o[:, :keep].T, qt[:keep]))
 
 
 def _block_offsets(block_spec: list[tuple[int, int]]) -> list[int]:

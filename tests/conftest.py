@@ -53,6 +53,30 @@ def dense_eqx_defect(term, x) -> np.ndarray:
     return h12 @ x2 @ h23 - h23 @ x2 @ h12
 
 
+def inner_factors(term) -> tuple[np.ndarray, np.ndarray]:
+    """Reference inner Schmidt factors (s_k A_k, s_k B_k) from a complex SVD.
+
+    One SVD of the reshuffled d^2 x d^2 matrix gives Hilbert-Schmidt
+    orthonormal, generally non-hermitian A_k, B_k; coefficients up to
+    s_0 d^2 eps are dropped.  ``commutator_residual`` on the hermitian
+    factors of ``operator_schmidt`` is checked against
+    ``_defect_norm(*inner_factors(term), 1)``.
+    """
+    d = term.d
+    r = term.op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    u, s, vh = np.linalg.svd(r)
+    keep = s > s[0] * d * d * np.finfo(float).eps
+    a = (u[:, keep] * s[keep]).T.reshape(-1, d, d)
+    b = (vh[keep] * s[keep, None]).reshape(-1, d, d)
+    return a, b
+
+
+def schmidt_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k left[k] (x) right[k] as a d^2 x d^2 matrix."""
+    d = left.shape[-1]
+    return np.einsum("kij,kab->iajb", left, right).reshape(d * d, d * d)
+
+
 def _poly_mul(p: list[int], q: list[int], maxdeg: int) -> list[int]:
     out = [0] * min(len(p) + len(q) - 1, maxdeg + 1)
     for i, a in enumerate(p):
@@ -269,11 +293,11 @@ def reference_solve_x(h, tol: float = 1e-9, seed: int = 0, tries: int = 200):
     replaces the best only when its minimal eigenvalue is strictly larger.
     """
     from commchain.bridge import NULL_RTOL, XCandidate, _defect_gram
-    from commchain.operators import _defect_norm, _inner_factors
+    from commchain.operators import _defect_norm, operator_schmidt
 
     d = h.d
     basis = la.hermitian_basis(d)
-    a, b = _inner_factors(h)
+    a, b = operator_schmidt(h, tol).inner
     lam, vecs = np.linalg.eigh(_defect_gram(a, b, basis))
     null = vecs[:, lam <= NULL_RTOL * max(float(lam[-1]), 1.0)]
     if null.shape[1] == 0:

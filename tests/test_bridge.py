@@ -19,7 +19,12 @@ from commchain.bridge import (
 from commchain.ed import apply_sitewise, build_chain, kernel_dim
 from commchain.errors import CommutificationFailed, SingularS
 from commchain.groundspace import loop_states, loop_mps_tensor
-from commchain.operators import LocalTerm, _inner_factors, commutator_residual, synthesize_local_term
+from commchain.operators import (
+    LocalTerm,
+    commutator_residual,
+    operator_schmidt,
+    synthesize_local_term,
+)
 
 from conftest import dense_eqx_defect, full_pipeline, reference_solve_x
 
@@ -103,7 +108,7 @@ def _dense_null_space(h):
 def test_defect_gram_matches_dense_null_space():
     chains = [mps_parent(random_injective_map(2, seed=s)).h for s in (3, 7, 11)]
     for h in chains + _deformed_terms():
-        a, b = _inner_factors(h)
+        a, b = operator_schmidt(h).inner
         lam, vecs = np.linalg.eigh(_defect_gram(a, b, la.hermitian_basis(h.d)))
         ref_null, sigma = _dense_null_space(h)
         # Gram eigenvalues are the dense squared singular values.
@@ -122,6 +127,22 @@ def test_solve_x_on_deformed_terms():
         out = commutify(h, cand.x)
         assert out.certificate["kernel_match"]
         assert out.certificate["x_residual"] <= 1e-9
+
+
+def test_solve_x_on_a_deformed_term_of_large_norm():
+    # Scaled by 1e12, the rounding in the term's hermitian coordinates
+    # (5.8e-5 here) passes an absolute 3.2e-5; relative to its norm it is
+    # rounding, and the term is solved as at unit scale.
+    rng = np.random.default_rng(7)
+    p = synthesize_local_term([(1, 1), (2, 2)], [[1, 1], [0, 1]], seed=5)
+    q = haar_unitary(p.d, rng)
+    s_inv = (q / np.linspace(0.6, 1.8, p.d)) @ q.conj().T
+    c = np.kron(s_inv, s_inv)
+    h = c @ p.op @ c * 1e12
+    big = LocalTerm(p.d, (h + h.conj().T) / 2.0)
+    cand = solve_x(big, seed=0)
+    assert cand is not None and cand.min_eigenvalue > 0
+    assert verify_x(big, cand.x).pd
 
 
 def test_stacked_pd_search_matches_per_candidate_reference():
@@ -170,7 +191,7 @@ def test_commutify_diagonal_example():
     h = LocalTerm(2, np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex))
     x = np.diag([1.0, 2.0])
     res = commutify(h, x)
-    assert commutator_residual(res.h_prime) < 1e-10
+    assert commutator_residual(operator_schmidt(res.h_prime)) < 1e-10
     d1, _ = kernel_dim(build_chain(h, 3))
     d2, _ = kernel_dim(build_chain(res.h_prime, 3))
     assert d1 == d2 == 2
@@ -195,7 +216,7 @@ def test_mps_parent_diagonal_map():
     s = np.diag([1.0, 2.0, 2.0, 4.0]).astype(complex)
     m = polar_normalize(s)
     res = mps_parent(m)
-    assert commutator_residual(res.h) > 1e-3
+    assert commutator_residual(operator_schmidt(res.h)) > 1e-3
     out = commutify(res.h, m.s @ m.s)
     assert np.linalg.norm(out.h_prime.op - res.p.op) < 1e-9
 

@@ -18,7 +18,7 @@ from commchain.canonical import (
 from commchain.ed import build_chain, kernel_dim, same_subspace
 from commchain.errors import InvalidK, NotScaleInvariant
 from commchain.groundspace import TransferMatrices, check_scale_invariance, degeneracy, loop_states
-from commchain.operators import LocalTerm, check_commuting
+from commchain.operators import LocalTerm, check_commuting, operator_schmidt
 
 from conftest import full_pipeline
 
@@ -69,7 +69,7 @@ def test_disentangler_bell_case():
     d2 = res.p.d ** 2
     assert np.linalg.norm(spec.u @ spec.u.conj().T - np.eye(d2)) < 1e-10
     conj = conjugate_term(res.p, spec.u)
-    assert check_commuting(conj).commuting
+    assert check_commuting(operator_schmidt(conj)).commuting
     # the conjugated chain has the product ground state
     chain = canonical_chain(Analysis(res.p))
     s = chain.site_states[0]
@@ -157,7 +157,7 @@ def test_conjugation_preserves_commutativity_and_graph(small_corpus):
         if not check_scale_invariance(g).scale_invariant:
             continue
         chain = canonical_chain(Analysis(m.term))
-        assert check_commuting(chain.conjugated).commuting
+        assert check_commuting(operator_schmidt(chain.conjugated)).commuting
         bonds_pruned = extract_bond_projectors(chain.pruned, chain.dec)
         bonds_conj = extract_bond_projectors(chain.conjugated, chain.dec)
         g_pruned = build_graph(bonds_pruned)
@@ -192,7 +192,7 @@ def test_full_chain_ground_space(small_corpus):
         n = 3
         korig = kernel_dim(build_chain(m.term, n))[1]
         kprun = kernel_dim(build_chain(chain.pruned, n))[1]
-        assert same_subspace(korig, kprun, tol=1e-8)
+        assert same_subspace(korig, kprun)
         kconj = kernel_dim(build_chain(chain.conjugated, n))[1]
         if chain.k == 0:
             assert kconj.shape[1] == 0
@@ -205,7 +205,7 @@ def test_full_chain_ground_space(small_corpus):
                 v = np.kron(v, s)
             cols.append(v)
         target = np.column_stack(cols)
-        assert same_subspace(kconj, target, tol=1e-8)
+        assert same_subspace(kconj, target)
         checked += 1
     assert checked >= 2
 

@@ -395,13 +395,13 @@ def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
         "commutator_residual": operators.commutator_residual,
     }
     calls = Counter()
-    residual_terms = []
+    residual_factors = []
 
     def spy(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
             if name == "commutator_residual":
-                residual_terms.append(args[0])
+                residual_factors.append(args[0])
             return fn(*args, **kwargs)
 
         return counted
@@ -412,6 +412,16 @@ def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
             for name, fn in stages.items():
                 if vars(mod).get(name) is fn:
                     monkeypatch.setattr(mod, name, spy(name, fn))
+    # An operator-Schmidt factorization is an SVD taken in ``operators``.
+    factorizations = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "commchain.operators":
+            factorizations.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     term = cc.synthesize_local_term([(1, 1), (1, 1)], [[1, 1], [0, 1]], seed=6)
     path = _write_term(tmp_path, term)
     for argv, pruned in (
@@ -420,14 +430,18 @@ def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
         (["analyze", "--input", path], 0),
     ):
         calls.clear()
-        residual_terms.clear()
+        residual_factors.clear()
+        factorizations.clear()
         code, _ = run_cli(capsys, argv)
         assert code == 0
         # the residual of p once (the gate), plus the pruned term's once
         expected = {name: 1 for name in stages}
         expected["commutator_residual"] += pruned
         assert calls == expected, (argv, calls)
-        assert len({id(t) for t in residual_terms}) == len(residual_terms), argv
+        assert len({id(f) for f in residual_factors}) == len(residual_factors), argv
+        # one factorization of p, read by the gate and the decomposition,
+        # plus the pruned term's: 1 / 1 / 2 for analyze / ground / canonical
+        assert factorizations == [(term.d**2, term.d**2)] * (1 + pruned), (argv, factorizations)
 
 
 # --- the parser: one subcommand built per job ---------------------------------
@@ -510,6 +524,44 @@ def test_usage_errors_exit_1_with_a_json_error(capsys):
         # argparse's usage text and error line stay on stderr.
         assert captured.err.startswith("usage: commchain")
         assert captured.err.endswith(doc["error"] + "\n")
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_bad_tol_chi_and_cap_are_usage_errors(capsys):
+    # Past the parser, a nan or negative tol reads ising as non-commuting
+    # (exit 2) and writes a NaN into the report; inf fails every reseed.
+    bad = []
+    for value in ("nan", "inf", "-1", "0", "-0.0"):
+        bad += [[name, "--model", "ising", "--tol", value] for name in ("analyze", "graph")]
+        bad.append(["census", "--model", "ising", "--N", "3", "--tol", value])
+        bad.append(["bridge", "mps-parent", "--tol", value])
+    bad += [["bridge", "mps-parent", "--chi", v] for v in ("0", "-2")]
+    bad += [["ground", "--model", "ising", "--N", "3", "--cap", v] for v in ("0", "-1")]
+    for argv in bad:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        doc = json.loads(captured.out, parse_constant=_not_json)
+        option = argv[-2]
+        assert f"argument {option}: must be " in doc["error"], argv
+        assert repr(argv[-1]) in doc["error"], argv
+        assert doc["seed"] == 0 and doc["tol"] == operators.DEFAULT_TOL
+        assert captured.err.startswith("usage: commchain")
+    for argv in (
+        ["analyze", "--tol", "x"],
+        ["ground", "--cap", "x"],
+        ["bridge", "solve-x", "--chi", "1.5"],
+    ):
+        code = main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        kind = "float" if argv[-2] == "--tol" else "int"
+        assert f"argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}" in doc["error"]
+    code, out = run_cli(capsys, ["analyze", "--model", "ising", "--tol", "1e-300"])
+    assert code == 0 and json.loads(out)["tol"] == 1e-300
 
 
 # --- chain length lists -------------------------------------------------------

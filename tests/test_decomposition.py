@@ -11,9 +11,7 @@ from commchain import models
 from commchain._linalg import dag, op_norm
 from commchain.canonical import Analysis
 from commchain.decomposition import (
-    SiteDecomposition,
     _center,
-    _family,
     _Retry,
     _verify_blocks,
     commutant,
@@ -86,10 +84,10 @@ def test_commutant_of_nothing_is_everything():
 
 def test_double_commutant(small_corpus):
     for m in small_corpus[:6]:
-        pair = operator_schmidt(m.term)
-        if not pair.right_factors:
+        _, right = operator_schmidt(m.term).folded
+        if not len(right):
             continue
-        alg = generate_algebra(pair.right_factors + [np.eye(m.d, dtype=complex)])
+        alg = generate_algebra(list(right) + [np.eye(m.d, dtype=complex)])
         dc = commutant(commutant(alg.basis).basis)
         assert dc.dim == alg.dim
         assert span_distance(dc.basis, alg.basis) < 1e-8
@@ -182,16 +180,16 @@ def test_decompose_completeness(small_corpus):
 def test_decompose_postcondition_residuals(small_corpus):
     for m in small_corpus:
         dec = decompose_site(m.term)
-        pair = operator_schmidt(m.term)
+        left, right = operator_schmidt(m.term).folded
         worst = 0.0
         for b in dec.blocks:
             w = b.isometry
-            for s in pair.right_factors:  # act as s~ (x) 1_r
+            for s in right:  # act as s~ (x) 1_r
                 c = dag(w) @ s @ w
                 t = c.reshape(b.l, b.r, b.l, b.r)
                 stilde = np.einsum("axbx->ab", t) / b.r
                 worst = max(worst, np.linalg.norm(c - np.kron(stilde, np.eye(b.r))))
-            for s in pair.left_factors:  # act as 1_l (x) c~
+            for s in left:  # act as 1_l (x) c~
                 c = dag(w) @ s @ w
                 t = c.reshape(b.l, b.r, b.l, b.r)
                 ctilde = np.einsum("xaxb->ab", t) / b.l
@@ -223,15 +221,6 @@ def test_decompose_rejects_non_commuting():
         decompose_site(p)
 
 
-def test_site_decomposition_json_round_trip(fig2):
-    dec = decompose_site(fig2)
-    back = SiteDecomposition.from_dict(dec.to_dict())
-    assert back.d == dec.d
-    assert back.block_dims == dec.block_dims
-    for a, b in zip(back.blocks, dec.blocks):
-        assert np.allclose(a.isometry, b.isometry)
-
-
 # --- the commutant path against the closure reference ------------------------
 
 
@@ -246,11 +235,10 @@ def _reference_terms(small_corpus, acceptance_corpus):
 
 def test_commutant_path_matches_closure_reference(small_corpus, acceptance_corpus):
     for name, term in _reference_terms(small_corpus, acceptance_corpus):
-        pair = operator_schmidt(term)
-        left, right = _family(pair.right_factors, term.d), _family(pair.left_factors, term.d)
+        right, left = operator_schmidt(term).folded
         joint = commutant(np.concatenate([left, right]))
         zc = _center(joint, np.random.default_rng(0), 1e-9)
-        ops = pair.right_factors + pair.left_factors + [np.eye(term.d, dtype=complex)]
+        ops = list(left) + list(right) + [np.eye(term.d, dtype=complex)]
         ref = center(generate_algebra(ops))
         assert zc.dim == ref.dim, name
         assert span_distance(zc.basis, ref.basis) <= 1e-8, name
@@ -318,8 +306,7 @@ def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
     terms = [(m.name, m.term) for m in small_corpus] + [("d9", synthesize_local_term(*D9_SI, 5))]
     for name, term in terms:
         dec = decompose_site(term)
-        pair = operator_schmidt(term)
-        left, right = _family(pair.right_factors, term.d), _family(pair.left_factors, term.d)
+        right, left = operator_schmidt(term).folded
         _verify_blocks(dec.blocks, left, right, np.sqrt(1e-9))
         _verify_blocks_loop(dec.blocks, left, right, np.sqrt(1e-9))
         nb = len(dec.blocks)

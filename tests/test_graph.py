@@ -7,12 +7,7 @@ from commchain import models
 from commchain._linalg import op_norm
 from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
-from commchain.graph import (
-    InteractionGraph,
-    export_dot,
-    extract_bond_projectors,
-    reconstruct_term,
-)
+from commchain.graph import export_dot, extract_bond_projectors, reconstruct_term
 from commchain.operators import ProjectorTerm
 
 from conftest import full_pipeline
@@ -172,10 +167,3 @@ def test_export_dot_edgeless():
     assert "->" not in dot
     assert "a0" in dot
 
-
-def test_graph_json_round_trip(fig2):
-    _, _, _, g = full_pipeline(fig2)
-    back = InteractionGraph.from_dict(g.to_dict())
-    assert np.array_equal(back.M, g.M)
-    assert np.array_equal(back.R, g.R)
-    assert back.block_dims == g.block_dims

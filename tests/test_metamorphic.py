@@ -33,7 +33,7 @@ from commchain._linalg import haar_unitary
 from commchain.canonical import classify_phase
 from commchain.cli import main
 from commchain.groundspace import TransferMatrices, spectral_census
-from commchain.operators import LocalTerm, commutator_residual
+from commchain.operators import LocalTerm, commutator_residual, operator_schmidt
 
 from conftest import full_pipeline
 
@@ -61,8 +61,8 @@ def test_basis_change_keeps_residual(small_corpus, index, seed, eps):
         n = term.d * term.d
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         term = LocalTerm(term.d, term.op + eps * (z + z.conj().T) / 2.0)
-    before = commutator_residual(term)
-    after = commutator_residual(_rotate(term, seed))
+    before = commutator_residual(operator_schmidt(term))
+    after = commutator_residual(operator_schmidt(_rotate(term, seed)))
     assert abs(after - before) <= 1e-12 * max(1.0, before)
 
 
