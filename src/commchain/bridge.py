@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
+from .ed import same_chain_kernel
 from .errors import CommutificationFailed, SingularS
 from .operators import (
     DEFAULT_TOL,
@@ -189,8 +190,6 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
     the new chain maps onto the kernel of the old one under sitewise
     X^(1/2).
     """
-    from .ed import apply_sitewise, build_chain, kernel_check_length, kernel_dim, same_subspace
-
     check = verify_x(h, x, tol)
     if not check.pd:
         raise CommutificationFailed(
@@ -200,27 +199,18 @@ def commutify(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> Commutif
     root = (v * np.sqrt(np.clip(w, tol, None))) @ la.dag(v)
     conj = np.kron(root, root)
     h_prime = LocalTerm(h.d, (conj @ h.op @ conj + la.dag(conj @ h.op @ conj)) / 2.0)
-    p_prime = projectorize(h_prime, max(tol, 1e-9))
+    p_prime = projectorize(h_prime, tol)
     resid = commutator_residual(operator_schmidt(p_prime, tol))
     if resid > np.sqrt(tol):
         raise CommutificationFailed(
             f"conjugated term is not commuting (residual {resid:.3e}); X is invalid"
         )
-    n = kernel_check_length(h.d)
-    cert: dict = {
+    cert = {
         "commutator_residual": float(resid),
         "x_residual": float(check.residual),
         "min_eigenvalue": float(check.min_eigenvalue),
-        "kernel_n": None,
-        "kernel_match": None,
     }
-    if n is not None:
-        kp = kernel_dim(build_chain(h_prime, n))[1]
-        kh = kernel_dim(build_chain(h, n))[1]
-        mapped = apply_sitewise(root, n, kp)
-        mapped = la.orthonormalize_rows(mapped.T).T
-        cert["kernel_n"] = n
-        cert["kernel_match"] = bool(same_subspace(mapped, kh))
+    cert["kernel_n"], cert["kernel_match"] = same_chain_kernel(h_prime, h, sitewise=root)
     return CommutifyResult(h_prime=h_prime, certificate=cert)
 
 

@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .decomposition import SiteDecomposition, _decompose_commuting
+from .decomposition import SiteDecomposition, decompose_site
+from .ed import same_chain_kernel
 from .errors import (
     CommchainError,
     DegenerateLoopKernel,
@@ -70,11 +71,10 @@ class Analysis:
     ``p`` validates a ``ProjectorTerm`` and uses it as given (a mislabelled
     one is an error) and projectorizes any other term; ``schmidt`` is its
     one operator-Schmidt factorization, read by the next two stages;
-    ``commuting`` is the commutator gate at ``tol``; ``dec`` raises
-    ``NotCommuting`` when the gate failed and otherwise decomposes without
-    recomputing the residual (this gate is stricter than
-    ``decompose_site``'s sqrt(tol));
-    ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
+    ``commuting`` is the commutator gate at ``tol``, the only one an input
+    term passes; ``dec`` raises ``NotCommuting`` when the gate failed and
+    otherwise decomposes the factors (see ``operators`` for the tolerance
+    rule); ``bonds``, ``graph`` and ``verdict`` follow.  A stage that
     raises is not cached, so the next access raises again.
     """
 
@@ -100,7 +100,7 @@ class Analysis:
     def dec(self) -> SiteDecomposition:
         if not self.commuting.commuting:
             raise NotCommuting(self.commuting.residual)
-        return _decompose_commuting(self.schmidt, self.tol, self.seed)
+        return decompose_site(self.schmidt, self.tol, self.seed)
 
     @cached_property
     def bonds(self) -> list[list[BondFactor]]:
@@ -136,23 +136,13 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
     op = assemble_two_site(dec.d, dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
     pruned = ProjectorTerm(dec.d, (op + la.dag(op)) / 2.0)
     pruned.validate()
-    chk = check_commuting(operator_schmidt(pruned), max(analysis.tol, 1e-10))
+    chk = check_commuting(operator_schmidt(pruned, analysis.tol), np.sqrt(analysis.tol))
     if not chk.commuting:
         raise CommchainError(f"pruned term not commuting (residual {chk.residual:.3e})")
-    _check_same_chain_kernel(analysis.p, pruned)
-    return pruned
-
-
-def _check_same_chain_kernel(a: LocalTerm, b: LocalTerm) -> None:
-    from .ed import build_chain, kernel_check_length, kernel_dim, same_subspace
-
-    n = kernel_check_length(a.d)
-    if n is None:
-        return
-    ka = kernel_dim(build_chain(a, n))[1]
-    kb = kernel_dim(build_chain(b, n))[1]
-    if not same_subspace(ka, kb):
+    n, same = same_chain_kernel(analysis.p, pruned)
+    if n is not None and not same:
         raise CommchainError(f"chain kernels differ at N={n} after pruning")
+    return pruned
 
 
 @dataclass

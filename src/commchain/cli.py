@@ -418,7 +418,7 @@ def _add_degeneracy(subs) -> None:
 def _add_census(subs) -> None:
     sp = subs.add_parser(
         "census",
-        help="exact energy census over N (bounded: fig2 up to N=2047, ising up to N=7678)",
+        help="exact energy census over N (bounded: fig2 up to N=2047, ising up to N=6208)",
     )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 3 or 2..8")

@@ -33,13 +33,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DecompositionFailed
-from .operators import (
-    DEFAULT_TOL,
-    OperatorSchmidt,
-    ProjectorTerm,
-    commutator_residual,
-    operator_schmidt,
-)
+from .operators import DEFAULT_TOL, OperatorSchmidt
 
 MAX_RESEEDS = 8
 
@@ -256,25 +250,14 @@ def _vertex_key(block: Block) -> tuple:
 
 
 def decompose_site(
-    p: ProjectorTerm, tol: float = DEFAULT_TOL, seed: int = 0
+    f: OperatorSchmidt, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> SiteDecomposition:
-    """Block decomposition of C^d induced by the commuting projector ``p``.
+    """Block decomposition of C^d induced by the factors ``f`` of a commuting projector.
 
-    Refuses a term whose commutator residual exceeds sqrt(tol).  Blocks
+    Nothing here gates the term (``canonical.Analysis.commuting`` does).  Blocks
     are sorted by ``_vertex_key``, which depends on the term only; the
     isometries within a block are reproducible for a fixed seed.
     """
-    f = operator_schmidt(p, tol)
-    resid = commutator_residual(f)
-    if resid > np.sqrt(tol):
-        raise DecompositionFailed(
-            f"input term is not commuting (commutator residual {resid:.3e})"
-        )
-    return _decompose_commuting(f, tol, seed)
-
-
-def _decompose_commuting(f: OperatorSchmidt, tol: float, seed: int) -> SiteDecomposition:
-    """``decompose_site`` on the factors of a projector its caller gated already."""
     d = f.d
     # B_k act on the site from its left bond, A_k from its right bond.
     right_family, left_family = f.folded

@@ -30,8 +30,8 @@ DEFAULT_CAP = 4096  # largest d^N
 KERNEL_TOL = 1e-8
 INTEGER_TOL = 1e-6
 KERNEL_CHECK_CAP = 512  # largest d^N of the kernel checks after pruning and commutify
-# Entries of one dense slab of summed columns (columns x d^N), bounding its memory.
-_COLUMN_SLAB_BINS = 1 << 18
+# Entries of one dense slab (of summed columns, or of block rows), bounding its memory.
+_SLAB_BINS = 1 << 18
 
 __all__ = [
     "ChainHamiltonian",
@@ -40,7 +40,7 @@ __all__ = [
     "integer_spectrum",
     "same_subspace",
     "apply_sitewise",
-    "kernel_check_length",
+    "same_chain_kernel",
 ]
 
 
@@ -109,7 +109,7 @@ def _representative_columns(
     size = d**n
     moved_reps = _shift(reps, d, n)
     after_shift = _shift(np.arange(size), d, n)
-    step = max(1, _COLUMN_SLAB_BINS // (2 * size))
+    step = max(1, _SLAB_BINS // (2 * size))
     defect, entries = 0.0, []
     for lo in range(0, reps.size, step):
         width = reps[lo : lo + step].size
@@ -174,15 +174,23 @@ def _momentum_blocks(chain: ChainHamiltonian):
     # Exact phases at k = 0 and k = N/2 keep a real H on the real solver.
     phase_table.real[np.abs(phase_table.real) < 1e-12] = 0.0
     phase_table.imag[np.abs(phase_table.imag) < 1e-12] = 0.0
-    key = row_orbit * period.size + cols
     for k, phases in enumerate(phase_table):
         keep = (k * period) % n == 0
-        if not keep.any():
+        width = int(np.count_nonzero(keep))
+        if not width:
             continue
-        block = np.zeros(period.size**2, dtype=complex)
-        np.add.at(block, key, weights * phases[back])
-        block = block.reshape(period.size, period.size)[np.ix_(keep, keep)]
-        herm_defect = float(np.max(np.abs(block - block.conj().T)))
+        # Only entries between two orbits of the sector, at their sector positions.
+        at = np.cumsum(keep) - 1
+        inside = keep[row_orbit] & keep[cols]
+        block = np.zeros(width * width, dtype=complex)
+        key = at[row_orbit[inside]] * width + at[cols[inside]]
+        np.add.at(block, key, weights[inside] * phases[back[inside]])
+        block = block.reshape(width, width)
+        step = max(1, _SLAB_BINS // width)  # rows per slab of the hermiticity check
+        herm_defect = max(
+            float(np.max(np.abs(block[i : i + step] - block[:, i : i + step].T.conj())))
+            for i in range(0, width, step)
+        )
         if shift_defect > 1e-10 or herm_defect > 1e-10:
             raise AssertionError(
                 f"chain build inconsistent (shift {shift_defect:.3e}, herm {herm_defect:.3e})"
@@ -234,17 +242,29 @@ def integer_spectrum(chain: ChainHamiltonian) -> dict[int, int]:
     return out
 
 
-def kernel_check_length(d: int) -> int | None:
-    """Chain length of a kernel check: 3 if d^3 fits the cap, else 2; None if d^2 does not."""
-    n = 3 if d**3 <= KERNEL_CHECK_CAP else 2
-    return n if d**n <= KERNEL_CHECK_CAP else None
-
-
 def same_subspace(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal dimension and largest principal angle below ``KERNEL_TOL`` (as a sine)."""
     if a.shape[1] != b.shape[1]:
         return False
     return la.subspace_angle_sin(a, b) < KERNEL_TOL
+
+
+def same_chain_kernel(
+    a: LocalTerm, b: LocalTerm, sitewise: np.ndarray | None = None
+) -> tuple[int | None, bool | None]:
+    """(N, whether the chains of ``a`` and ``b`` have the same kernel at N).
+
+    N is 3 or, if d^3 passes ``KERNEL_CHECK_CAP``, 2; (None, None) if d^2 does
+    too.  ``sitewise`` = Y maps the kernel of ``a`` by Y^(x N) first.
+    """
+    n = 3 if a.d**3 <= KERNEL_CHECK_CAP else 2
+    if a.d**n > KERNEL_CHECK_CAP:
+        return None, None
+    ka = kernel_dim(build_chain(a, n))[1]
+    kb = kernel_dim(build_chain(b, n))[1]
+    if sitewise is not None:
+        ka = la.orthonormalize_rows(apply_sitewise(sitewise, n, ka).T).T
+    return n, bool(same_subspace(ka, kb))
 
 
 def apply_sitewise(x: np.ndarray, n: int, vec_or_cols: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ disjoint tensor slots and admit a simultaneous eigenbasis labelled by
 per-bond outcomes.  The census is exact and multimodular: the polynomial
 is evaluated at roots of unity modulo NTT primes in int64, transformed
 back and rebuilt by CRT.  It is bounded in N: past ``MAX_CENSUS_ENTRIES``
-evaluation entries (fig2: N > 2047, ising: N > 7678) it raises
-``TooLarge``.  Both quantities are validated against the exact-
-diagonalization oracle in the test suite.
+evaluation entries or ``MAX_GARNER_STEPS`` CRT steps (fig2: N > 2047,
+ising: N > 6208) it raises ``TooLarge``.  Both quantities are validated
+against the exact-diagonalization oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ DEFAULT_STATE_CAP = 10_000
 # The census refuses a chain whose evaluation stack, primes x L x nv^2
 # int64 entries, would exceed this (fig2, nv = 4: N <= 2047).
 MAX_CENSUS_ENTRIES = 1 << 23
+# ... or whose Garner CRT would take more primes^2 x (N + 1) steps (ising: N <= 6208).
+MAX_GARNER_STEPS = 1 << 28
 # ``ground_states`` refuses a chain whose states would hold more bond-vector
 # entries than this, estimated as min(cap, degeneracy) x N x d^2
 # (ising: N <= 131072).
@@ -628,9 +630,10 @@ def _garner(residues: np.ndarray, primes: list[int]) -> list[int]:
 
 
 def check_census_size(t: TransferMatrices, ns: list[int]) -> None:
-    """Raise ``TooLarge`` at the first N in ``ns`` whose census is past ``MAX_CENSUS_ENTRIES``.
+    """Raise ``TooLarge`` at the first N in ``ns`` whose census is past a bound.
 
-    The census at N evaluates primes x L x nv^2 entries (see
+    The census at N evaluates primes x L x nv^2 entries and rebuilds N + 1
+    coefficients in primes^2 x (N + 1) Garner steps (see
     ``spectral_census``); nothing is evaluated here.
     """
     nv = t.num_vertices
@@ -638,12 +641,16 @@ def check_census_size(t: TransferMatrices, ns: list[int]) -> None:
     for n in ns:
         size = 1 << n.bit_length()  # least power of two >= n + 1
         bits = (math.log2(nv) + n * math.log2(rho)) if rho > 0 else 0.0
-        entries = (int(bits) // 30 + 1) * size * nv * nv
-        if entries > MAX_CENSUS_ENTRIES:
-            raise TooLarge(
-                f"census at N={n} on {nv} vertices needs about {entries} evaluation "
-                f"entries, past the limit {MAX_CENSUS_ENTRIES}"
-            )
+        primes = int(bits) // 30 + 1
+        for need, limit, what in (
+            (primes * size * nv * nv, MAX_CENSUS_ENTRIES, "evaluation entries"),
+            (primes * primes * (n + 1), MAX_GARNER_STEPS, "Garner steps"),
+        ):
+            if need > limit:
+                raise TooLarge(
+                    f"census at N={n} on {nv} vertices needs about {need} {what}, "
+                    f"past the limit {limit}"
+                )
 
 
 def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
@@ -660,8 +667,8 @@ def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
     the coefficients are rebuilt by Garner's algorithm.  The coefficients
     must sum to T exactly; that is checked on every call.
 
-    Raises ``TooLarge``, before any evaluation, when primes x L x nv^2
-    exceeds ``MAX_CENSUS_ENTRIES``; the prime count is bounded from
+    Raises ``TooLarge``, before any evaluation, past the bounds of
+    ``check_census_size``; the prime count is bounded from
     T <= nv rho^N (rho the largest row sum of M + R) at 30 bits a prime.
     """
     if n < 1:

@@ -12,9 +12,22 @@ factors: the commutator gate, the site decomposition (which reads the
 C*-algebras the factors generate) and the bridge's defect map.  The
 commutator residual is the Frobenius norm of C = [h x 1, 1 x h], computed
 from those factors.  As C has rank at most d^3, ||C||_2 <= ||C||_F <=
-d^(3/2) ||C||_2: the gates on it (``<= tol`` in ``check_commuting``,
-``<= sqrt(tol)`` in ``decompose_site``) are never looser than the same
-gates on the spectral norm.
+d^(3/2) ||C||_2: a gate on it is never looser than the same gate on the
+spectral norm.
+
+Tolerance rule: every threshold derived from the caller's ``tol`` is
+``tol`` or ``sqrt(tol)``, with no floor.  ``tol`` decides about the input:
+a term's hermiticity defect, ``projectorize``'s zero-eigenvalue cut (for
+the bridge's commutified term too), the commutator gate
+``check_commuting`` in ``canonical.Analysis.commuting`` (the only gate an
+input term passes), the commutant rank cuts, and the bridge's
+positive-definite margin of X and singular cut of S.  ``sqrt(tol)``
+bounds every identity a constructed object must meet: ``projectorize``'s
+negative-eigenvalue margin, the Schmidt coefficients' imaginary part
+(times max(||p||_F, 1)), the site blocks and their completeness, bond
+factoring, idempotency and reconstruction, the commutator residual of the
+pruned and of the commutified term, and the disentangler's target and
+unitarity.  Thresholds that do not scale with ``tol`` are named constants.
 
 Conventions: the two-site basis is |i> x |j| with flat index i*d + j, the
 left site first.
@@ -145,11 +158,7 @@ def projectorize(h: LocalTerm, tol: float = DEFAULT_TOL) -> ProjectorTerm:
     ``-sqrt(tol)`` means the term is frustrated and the caller must shift
     the energy first.
     """
-    defect = la.hermiticity_defect(h.op)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    sym = (h.op + la.dag(h.op)) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(LocalTerm.symmetrized(h.d, h.op, tol).op)
     if w[0] < -np.sqrt(tol):
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -sqrt(tol); shift the energy first")
     keep = w > tol
@@ -207,8 +216,7 @@ def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> OperatorSchmidt:
     The decomposition is carried out in the real vector space of hermitian
     matrices, so both factor stacks come out hermitian and the coefficient
     matrix is a real SVD problem.  Its imaginary part is rounding only for
-    a hermitian ``p``; past max(sqrt(tol), 1e-7) max(||p||_F, 1) the term
-    is refused.
+    a hermitian ``p``; past sqrt(tol) max(||p||_F, 1) the term is refused.
     """
     d = p.d
     basis = la.hermitian_basis(d)
@@ -217,7 +225,7 @@ def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> OperatorSchmidt:
     r = p.op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     c = la.dag(u) @ r @ u.conj()
     imag = float(np.max(np.abs(c.imag)))
-    if imag > max(np.sqrt(tol), 1e-7) * max(float(np.linalg.norm(p.op)), 1.0):
+    if imag > np.sqrt(tol) * max(float(np.linalg.norm(p.op)), 1.0):
         raise NotHermitian(f"coefficient matrix not real (defect {imag:.3e})")
     o, s, qt = np.linalg.svd(c.real)
     keep = int(np.count_nonzero(s > s[0] * d * d * np.finfo(float).eps))

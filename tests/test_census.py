@@ -117,6 +117,18 @@ def test_bound_raises_before_any_evaluation(monkeypatch):
         spectral_census(TransferMatrices(M=[[1]], R=[[0]]), groundspace.MAX_CENSUS_ENTRIES)
 
 
+def test_garner_bound_raises_before_any_evaluation(monkeypatch):
+    # A one-vertex graph passes the entry bound at N=8191 (547 primes x
+    # 8192 entries), but Garner would take 547^2 x 8192 = 2.5e9 steps.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluation started past the bound")
+
+    monkeypatch.setattr(groundspace, "_mat_pow", forbidden)
+    monkeypatch.setattr(groundspace, "_census_residues", forbidden)
+    with pytest.raises(TooLarge, match="Garner"):
+        spectral_census(TransferMatrices(M=[[2]], R=[[2]]), 8191)
+
+
 def test_bound_admits_its_documented_sizes(monkeypatch):
     class Reached(Exception):
         pass
@@ -127,10 +139,11 @@ def test_bound_admits_its_documented_sizes(monkeypatch):
     monkeypatch.setattr(groundspace, "_census_residues", reached)
     fig2 = TransferMatrices.from_graph(full_pipeline(models.fig2())[3])
     ising = TransferMatrices.from_graph(full_pipeline(models.ising())[3])
-    for t, n in ((fig2, 2047), (ising, 7678)):
+    two = TransferMatrices(M=[[2]], R=[[2]])
+    for t, n in ((fig2, 2047), (ising, 6208), (two, 3914)):
         with pytest.raises(Reached):
             spectral_census(t, n)
-    for t, n in ((fig2, 2048), (ising, 7679)):
+    for t, n in ((fig2, 2048), (ising, 6209), (two, 3915)):
         with pytest.raises(TooLarge):
             spectral_census(t, n)
 

@@ -278,6 +278,38 @@ def test_bridge_pipe_chain(tmp_path, capsys):
     assert cert["kernel_match"] is True
 
 
+@pytest.mark.parametrize("tol", ["1e-15", "1e-12"])
+def test_prune_and_commutify_gates_hold_at_small_tol(tmp_path, capsys, small_corpus, tol):
+    # The pruned term's commutator gate and commutify's zero-eigenvalue cut
+    # once had floors (1e-10 and 1e-9); they now read sqrt(tol) and tol.
+    sources = [["--model", "ising"]]
+    for m in small_corpus:
+        if m.scale_invariant_planted:
+            path = tmp_path / f"{m.name}.json"
+            path.write_text(json.dumps(m.term.to_dict()))
+            sources.append(["--input", str(path)])
+    accepted = 0
+    for source in sources:
+        gate, _ = run_cli(capsys, ["analyze", *source, "--tol", tol])
+        code, out = run_cli(capsys, ["canonical", *source, "--tol", tol])
+        # Below the rounding of a residual (about 1e-15) the input gate
+        # refuses a commuting term (exit 2); a term it accepts is canonicalized.
+        assert (gate, code) in ((0, 0), (2, 2)), (source, json.loads(out).get("error"))
+        accepted += code == 0
+    assert accepted >= (len(sources) if tol == "1e-12" else 2)
+    for seed in ("1", "2", "3"):
+        parent, solved = tmp_path / "parent.json", tmp_path / "solved.json"
+        for argv in (
+            ["bridge", "mps-parent", "--chi", "2", "--seed", seed, "--json", str(parent)],
+            ["bridge", "solve-x", "--input", str(parent), "--seed", seed, "--json", str(solved)],
+        ):
+            assert run_cli(capsys, [*argv, "--tol", tol])[0] == 0
+        code, out = run_cli(capsys, ["bridge", "commutify", "--input", str(solved), "--tol", tol])
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["kernel_n"] == 3 and cert["kernel_match"] is True, seed
+
+
 def test_bridge_solve_x_not_found(tmp_path, capsys):
     rng = np.random.default_rng(11)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -389,7 +421,7 @@ def test_subcommands_agree_on_graph_and_witness(tmp_path, capsys):
 
 def test_one_analysis_per_job(tmp_path, monkeypatch, capsys):
     stages = {
-        "_decompose_commuting": decomposition._decompose_commuting,
+        "decompose_site": decomposition.decompose_site,
         "build_graph": cc.build_graph,
         "check_scale_invariance": cc.check_scale_invariance,
         "commutator_residual": operators.commutator_residual,

@@ -100,7 +100,7 @@ def test_center_of_full_algebra_is_scalars():
 
 
 def test_decompose_ising(ising):
-    dec = decompose_site(ising)
+    dec = decompose_site(operator_schmidt(ising))
     assert dec.block_dims == [(1, 1), (1, 1)]
     # blocks are the two computational basis states, in some order
     supports = {int(np.argmax(np.abs(b.isometry[:, 0]))) for b in dec.blocks}
@@ -110,7 +110,7 @@ def test_decompose_ising(ising):
 
 
 def test_decompose_fig2_bell_blocks(fig2):
-    dec = decompose_site(fig2)
+    dec = decompose_site(operator_schmidt(fig2))
     assert dec.block_dims == [(1, 1)] * 4
     bells = np.array(
         [
@@ -131,7 +131,7 @@ def test_decompose_fig2_bell_blocks(fig2):
 
 
 def test_decompose_zero_term():
-    dec = decompose_site(models.zero(3))
+    dec = decompose_site(operator_schmidt(models.zero(3)))
     assert dec.block_dims == [(1, 3)]
 
 
@@ -153,7 +153,7 @@ def test_decompose_zero_term():
 def test_unidentifiable_spec_decomposes_finer(blocks, kdims, seed, finer):
     assert not identifiable(blocks, kdims)
     p = synthesize_local_term(blocks, kdims, seed)
-    dec = decompose_site(p)
+    dec = decompose_site(operator_schmidt(p))
     assert sorted(dec.block_dims) == sorted(finer)
     assert dec.completeness_defect() < 1e-10
     bonds = extract_bond_projectors(p, dec)
@@ -162,13 +162,13 @@ def test_unidentifiable_spec_decomposes_finer(blocks, kdims, seed, finer):
 
 def test_decompose_identity_term():
     p = ProjectorTerm(2, np.eye(4, dtype=complex))
-    dec = decompose_site(p)
+    dec = decompose_site(operator_schmidt(p))
     assert dec.block_dims == [(1, 2)]
 
 
 def test_decompose_completeness(small_corpus):
     for m in small_corpus:
-        dec = decompose_site(m.term)
+        dec = decompose_site(operator_schmidt(m.term))
         assert dec.completeness_defect() < 1e-10
         for i, bi in enumerate(dec.blocks):
             assert np.linalg.norm(dag(bi.isometry) @ bi.isometry - np.eye(bi.l * bi.r)) < 1e-10
@@ -179,7 +179,7 @@ def test_decompose_completeness(small_corpus):
 
 def test_decompose_postcondition_residuals(small_corpus):
     for m in small_corpus:
-        dec = decompose_site(m.term)
+        dec = decompose_site(operator_schmidt(m.term))
         left, right = operator_schmidt(m.term).folded
         worst = 0.0
         for b in dec.blocks:
@@ -199,8 +199,8 @@ def test_decompose_postcondition_residuals(small_corpus):
 
 def test_decompose_determinism(small_corpus):
     m = small_corpus[0]
-    a = decompose_site(m.term, seed=12)
-    b = decompose_site(m.term, seed=12)
+    a = decompose_site(operator_schmidt(m.term), seed=12)
+    b = decompose_site(operator_schmidt(m.term), seed=12)
     assert a.block_dims == b.block_dims
     for x, y in zip(a.blocks, b.blocks):
         assert np.array_equal(x.isometry, y.isometry)
@@ -208,7 +208,7 @@ def test_decompose_determinism(small_corpus):
 
 def test_decompose_round_trip(small_corpus):
     for m in small_corpus:
-        dec = decompose_site(m.term)
+        dec = decompose_site(operator_schmidt(m.term))
         assert sorted(dec.block_dims) == sorted(m.blocks), m.name
 
 
@@ -217,8 +217,9 @@ def test_decompose_rejects_non_commuting():
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     _, v = np.linalg.eigh(z + dag(z))
     p = ProjectorTerm(2, v[:, :2] @ dag(v[:, :2]))
-    with pytest.raises(DecompositionFailed):
-        decompose_site(p)
+    # decompose_site has no commutator gate: the block checks refuse the factors
+    with pytest.raises(DecompositionFailed, match="after 8 attempts"):
+        decompose_site(operator_schmidt(p))
 
 
 # --- the commutant path against the closure reference ------------------------
@@ -242,7 +243,7 @@ def test_commutant_path_matches_closure_reference(small_corpus, acceptance_corpu
         ref = center(generate_algebra(ops))
         assert zc.dim == ref.dim, name
         assert span_distance(zc.basis, ref.basis) <= 1e-8, name
-        for i, b in enumerate(decompose_site(term).blocks):
+        for i, b in enumerate(decompose_site(operator_schmidt(term)).blocks):
             gens = dag(b.isometry) @ left @ b.isometry
             comm = commutant(gens)
             n = b.l * b.r
@@ -305,7 +306,7 @@ def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
     seen = set()
     terms = [(m.name, m.term) for m in small_corpus] + [("d9", synthesize_local_term(*D9_SI, 5))]
     for name, term in terms:
-        dec = decompose_site(term)
+        dec = decompose_site(operator_schmidt(term))
         right, left = operator_schmidt(term).folded
         _verify_blocks(dec.blocks, left, right, np.sqrt(1e-9))
         _verify_blocks_loop(dec.blocks, left, right, np.sqrt(1e-9))

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commchain import ed, models
+from commchain import canonical, ed, models
 from commchain._linalg import haar_unitary
-from commchain.canonical import _check_same_chain_kernel, canonical_hamiltonian
+from commchain.canonical import Analysis, canonical_hamiltonian, prune_to_loops
 from commchain.ed import (
     KERNEL_TOL,
     _momentum_blocks,
@@ -21,6 +21,7 @@ from commchain.ed import (
     build_chain,
     integer_spectrum,
     kernel_dim,
+    same_chain_kernel,
     same_subspace,
 )
 from commchain.errors import CommchainError, NonIntegerSpectrum, TooLarge
@@ -298,15 +299,18 @@ def test_hermiticity_check_catches_a_non_hermitian_term():
 
 
 def test_fig2_n6_spectrum_allocates_no_dense_matrix():
-    # d^N = 4096: the dense chain matrix alone would take 268 MB.
-    tracemalloc.start()
-    try:
-        spec = integer_spectrum(build_chain(models.fig2(), 6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert spec[0] == 64 and sum(spec.values()) == 4**6
+    # d^N = 4096: the dense chain matrix alone would take 268 MB.  zero(16)
+    # at N=3 has 1376 orbits and blocks of 1376 and 1360 (30 MB each): a
+    # block pass may hold the block it yielded, the next one and slabs.
+    for p, n, limit, ground in ((models.fig2(), 6, 64, 64), (models.zero(16), 3, 80, 4096)):
+        tracemalloc.start()
+        try:
+            spec = integer_spectrum(build_chain(p, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, (p.d, peak)
+        assert spec[0] == ground and sum(spec.values()) == p.d**n
 
 
 def test_sector_kernel_holds_states_of_short_period():
@@ -322,9 +326,10 @@ def test_sector_kernel_holds_states_of_short_period():
     assert assert_kernel_matches_dense(models.zero(2), 4) == 16
 
 
-def test_kernel_check_detects_a_kernel_off_by_1e_6():
+def test_kernel_check_detects_a_kernel_off_by_1e_6(monkeypatch):
     p = synthesized_terms()[0][1]
-    _check_same_chain_kernel(p, p)
+    assert same_chain_kernel(p, p) == (3, True)
+    assert same_chain_kernel(p, p, sitewise=np.eye(p.d)) == (3, True)
     rng = np.random.default_rng(4)
     z = rng.standard_normal((p.d, p.d)) + 1j * rng.standard_normal((p.d, p.d))
     w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
@@ -334,5 +339,12 @@ def test_kernel_check_detects_a_kernel_off_by_1e_6():
     ka = kernel_dim(build_chain(p, 3))[1]
     kb = kernel_dim(build_chain(moved, 3))[1]
     assert 1e-7 < np.linalg.norm(kb - ka @ (ka.conj().T @ kb), 2) < 1e-5
-    with pytest.raises(CommchainError, match="chain kernels differ"):
-        _check_same_chain_kernel(p, moved)
+    assert same_chain_kernel(p, moved) == (3, False)
+    # the kernel of ``moved`` is u^(x N) times that of ``p``
+    assert same_chain_kernel(p, moved, sitewise=u) == (3, True)
+    assert same_chain_kernel(moved, p, sitewise=u.conj().T) == (3, True)
+    assert same_chain_kernel(p, moved, sitewise=u.conj().T) == (3, False)
+    # a failed comparison stops the prune
+    monkeypatch.setattr(canonical, "same_chain_kernel", lambda a, b: (3, False))
+    with pytest.raises(CommchainError, match="chain kernels differ at N=3 after pruning"):
+        prune_to_loops(Analysis(models.ising()))

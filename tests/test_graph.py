@@ -8,7 +8,7 @@ from commchain._linalg import op_norm
 from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
 from commchain.graph import export_dot, extract_bond_projectors, reconstruct_term
-from commchain.operators import ProjectorTerm
+from commchain.operators import ProjectorTerm, operator_schmidt
 
 from conftest import full_pipeline
 
@@ -95,7 +95,7 @@ def test_kernel_bases_annihilated(small_corpus):
 
 
 def test_extract_rejects_foreign_decomposition(ising, fig2):
-    dec_other = decompose_site(models.zero(2))
+    dec_other = decompose_site(operator_schmidt(models.zero(2)))
     with pytest.raises(FactorizationFailed):
         extract_bond_projectors(ising, dec_other)
 

@@ -15,7 +15,9 @@ between lies a grey zone that no test pins down: the commutator residual
 is eps times a model-dependent constant (up to about d^(3/2), since it is
 a Frobenius norm), the gate compares it with tol, and an accepted term
 must still pass the sqrt(tol) checks of the decomposition, so either
-outcome, or a decomposition failure, can occur there.
+outcome, or a decomposition failure, can occur there.  What is pinned
+down is that the gate at tol alone decides: a residual between tol and
+sqrt(tol) is refused before the decomposition starts.
 
 Hypothesis runs derandomized with a handful of examples, so the draws are
 the same on every run.
@@ -25,15 +27,17 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commchain import models
+from commchain import canonical, models
 from commchain._linalg import haar_unitary
-from commchain.canonical import classify_phase
+from commchain.canonical import Analysis, classify_phase
 from commchain.cli import main
+from commchain.errors import NotCommuting
 from commchain.groundspace import TransferMatrices, spectral_census
-from commchain.operators import LocalTerm, commutator_residual, operator_schmidt
+from commchain.operators import LocalTerm, ProjectorTerm, commutator_residual, operator_schmidt
 
 from conftest import full_pipeline
 
@@ -145,6 +149,26 @@ def test_noise_far_above_sqrt_tol_is_not_commuting(tmp_path_factory, small_corpu
     assert main(["analyze", "--input", str(path), "--json", str(out)]) == 2
     report = json.loads(out.read_text())
     assert report["commuting"] is False and report["stage"] == "check_commuting"
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_residual_between_tol_and_sqrt_tol_is_refused_by_the_gate(monkeypatch, tol):
+    # ising rotated by a two-site unitary exp(i eps K) with eps = 1e-2 sqrt(tol):
+    # still a projector, with a commutator residual of 0.09 sqrt(tol).
+    ising = models.ising()
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh(z + z.conj().T)
+    u = (v * np.exp(1e-2j * np.sqrt(tol) * w)) @ v.conj().T
+    p = ProjectorTerm(2, u @ ising.op @ u.conj().T)
+
+    def unreachable(*args):
+        raise AssertionError("the decomposition started")
+
+    monkeypatch.setattr(canonical, "decompose_site", unreachable)
+    with pytest.raises(NotCommuting) as exc:
+        Analysis(p, tol).dec
+    assert tol < exc.value.residual <= np.sqrt(tol)
 
 
 def _transfer(term) -> TransferMatrices:
