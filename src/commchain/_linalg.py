@@ -26,7 +26,6 @@ __all__ = [
     "orthonormalize_rows",
     "haar_unitary",
     "hermitian_basis",
-    "kron_all",
     "cluster_eigenvalues",
     "complete_orthonormal",
     "subspace_angle_sin",
@@ -141,13 +140,6 @@ def hermitian_basis(d: int) -> np.ndarray:
     basis = np.array(mats)
     basis.flags.writeable = False
     return basis
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def cluster_eigenvalues(w: np.ndarray) -> list[slice]:

@@ -39,6 +39,7 @@ from .operators import (
     ProjectorTerm,
     _defect_norm,
     commutator_residual,
+    identity_slots,
     operator_schmidt,
     projectorize,
 )
@@ -283,7 +284,7 @@ def mps_parent(m: InjectiveMpsMap) -> MpsParentResult:
     d = chi * chi
     phi = m.phi_max
     mid = np.eye(d, dtype=complex) - np.outer(phi, phi.conj())
-    op = la.kron_all(np.eye(chi), mid, np.eye(chi))
+    op = identity_slots(chi, mid, chi)
     p = ProjectorTerm(d, op)
     p.validate()
     w, v = np.linalg.eigh(m.s)

@@ -133,7 +133,7 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
             return bf.q
         return np.eye(bf.q.shape[0], dtype=complex)
 
-    op = assemble_two_site(dec.d, dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
+    op = assemble_two_site(dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
     pruned = ProjectorTerm(dec.d, (op + la.dag(op)) / 2.0)
     pruned.validate()
     chk = check_commuting(operator_schmidt(pruned, analysis.tol), np.sqrt(analysis.tol))
@@ -188,7 +188,7 @@ def disentangling_unitary(
             return small_us[a]
         return np.eye(ra * lb, dtype=complex)
 
-    u = assemble_two_site(dec.d, dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
+    u = assemble_two_site(dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
     unit_defect = la.op_norm(u @ la.dag(u) - np.eye(dec.d**2))
     if unit_defect > np.sqrt(tol):
         raise CommchainError(f"disentangler not unitary (defect {unit_defect:.3e})")

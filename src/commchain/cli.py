@@ -13,8 +13,10 @@ dispatcher in ``main`` maps each error to its exit code and a JSON
 Reports are written as ``json.dumps(doc, indent=2)`` writes them, byte for
 byte.  The indented encoder is pure Python, so complex arrays (the codec's
 ``ComplexArrayJSON`` values) are printed from one cached ``%``-template per
-shape and depth, filled with the ``float.__repr__`` of their entries;
-everything else goes through ``json.dumps``.
+shape and depth, filled with the ``float.__repr__`` of their entries, and
+flat dicts of str keys and int values (census ``dims``, the degeneracy map)
+from one ``%``-template per size and depth; everything else goes through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .groundspace import (
     ground_states,
     spectral_census,
 )
-from .operators import DEFAULT_TOL, LocalTerm
+from .operators import DEFAULT_TOL, MIN_TOL, LocalTerm
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,34 +73,51 @@ def _array_template(shape: tuple[int, ...], depth: int) -> str:
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
 
 
-def _holds_array(obj) -> bool:
-    if isinstance(obj, ComplexArrayJSON):
-        return True
-    if isinstance(obj, dict):
-        return any(_holds_array(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_holds_array(v) for v in obj)
-    return False
+def _plain(obj, depth: int) -> str:
+    # A codec array is a list to json.dumps, so this is right for any value.
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _dumps(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for a value opened at ``depth``."""
+def _templated(obj, depth: int) -> str | None:
+    """``_dumps(obj, depth)`` if ``obj`` holds a codec array or an int dict, else None.
+
+    Each value is visited once; the values that hold neither go through
+    ``json.dumps``.
+    """
     if isinstance(obj, ComplexArrayJSON):
         pairs = obj.pairs
         flat = pairs.ravel().tolist()
         # json.dumps spells non-finite floats NaN, Infinity and -Infinity.
         text = map(float.__repr__ if np.isfinite(pairs).all() else json.dumps, flat)
         return _array_template(pairs.shape, depth) % tuple(text)
-    if _holds_array(obj):
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-            items = [f"{json.dumps(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items()]
-            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
-        if isinstance(obj, (list, tuple)):
-            items = [_dumps(v, depth + 1) for v in obj]
-            return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-    # A codec array is a list to json.dumps, so this is right for any value.
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+    pad = "\n" + "  " * (depth + 1)
+    is_dict = isinstance(obj, dict) and all(isinstance(k, str) for k in obj)
+    if is_dict and obj and all(type(v) is int for v in obj.values()):  # bools excluded
+        # Census dims, the degeneracy map.  Keys through json's own string
+        # encoder, which is what json.dumps returns for a str; %d raises
+        # ValueError past the int-to-str limit.
+        keys = map(encode_basestring_ascii, obj)
+        template = "{" + pad + ("," + pad).join(["%s: %d"] * len(obj)) + "\n" + "  " * depth + "}"
+        return template % tuple(chain.from_iterable(zip(keys, obj.values())))
+    if is_dict:
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return None
+    texts = [_templated(v, depth + 1) for v in values]
+    if all(t is None for t in texts):
+        return None
+    items = [_plain(v, depth + 1) if t is None else t for v, t in zip(values, texts)]
+    if is_dict:
+        items = [f"{json.dumps(k)}: {t}" for k, t in zip(obj, items)]
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for a value opened at ``depth``."""
+    text = _templated(obj, depth)
+    return _plain(obj, depth) if text is None else text
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -167,7 +188,9 @@ def _checked(kind, ok, rule: str):
     return parse
 
 
-_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_tolerance = _checked(
+    float, lambda v: math.isfinite(v) and v >= MIN_TOL, f"must be finite and >= {MIN_TOL:g}"
+)
 _count = _checked(int, lambda v: v >= 1, "must be >= 1")
 
 
@@ -175,7 +198,8 @@ def _add_common(sub, needs_input=True):
     if needs_input:
         sub.add_argument("--model", help="builtin model: ising, fig2, zero(d)")
         sub.add_argument("--input", help="local term JSON file ('-' for stdin)")
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    rule = f"at least {MIN_TOL:g}, below which rounding alone fails the commutator gate"
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help=f"default %(default)g; {rule}")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", help="output path (default stdout)")
 

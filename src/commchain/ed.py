@@ -125,7 +125,7 @@ def _representative_columns(
 
 def _real_if_exact(matrix: np.ndarray) -> np.ndarray:
     """The real part when the imaginary part is exactly zero, for the real solvers."""
-    return matrix.real if np.max(np.abs(matrix.imag)) == 0.0 else matrix
+    return matrix.real if not np.any(matrix.imag) else matrix
 
 
 def _translation_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +196,7 @@ def _momentum_blocks(chain: ChainHamiltonian):
                 f"chain build inconsistent (shift {shift_defect:.3e}, herm {herm_defect:.3e})"
             )
         yield images[:, keep], period[keep], phases, block
+        del block  # before the next block is allocated
 
 
 def kernel_dim(chain: ChainHamiltonian) -> tuple[int, np.ndarray]:
@@ -211,6 +212,7 @@ def kernel_dim(chain: ChainHamiltonian) -> tuple[int, np.ndarray]:
     cols = [np.zeros((size, 0), dtype=complex)]
     for orbits, periods, phases, block in _momentum_blocks(chain):
         w, c = np.linalg.eigh(_real_if_exact(block))
+        del block  # before the next block is allocated
         c = c[:, w < KERNEL_TOL] / np.sqrt(periods)[:, None]
         v = np.zeros((size, c.shape[1]), dtype=complex)
         # T^l r for l < p_r are the distinct members of the orbit of r.
@@ -228,10 +230,13 @@ def integer_spectrum(chain: ChainHamiltonian) -> dict[int, int]:
     The eigenvalues are gathered sector by sector from the momentum blocks.
     A non-integral eigenvalue signals a non-commuting local term.
     """
-    # One block at a time: only its eigenvalues are kept.
-    w = np.concatenate(
-        [np.linalg.eigvalsh(_real_if_exact(block)) for *_, block in _momentum_blocks(chain)]
-    )
+    # One block at a time: only its eigenvalues are kept, and it is dropped
+    # before the next block is allocated.
+    parts = []
+    for *_, block in _momentum_blocks(chain):
+        parts.append(np.linalg.eigvalsh(_real_if_exact(block)))
+        del block
+    w = np.concatenate(parts)
     rounded = np.rint(w)
     worst = float(np.max(np.abs(w - rounded)))
     if worst > INTEGER_TOL:

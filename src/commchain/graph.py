@@ -16,7 +16,13 @@ import numpy as np
 from . import _linalg as la
 from .decomposition import SiteDecomposition
 from .errors import FactorizationFailed
-from .operators import DEFAULT_TOL, ProjectorTerm, assemble_two_site
+from .operators import (
+    DEFAULT_TOL,
+    ProjectorTerm,
+    _block_offsets,
+    assemble_two_site,
+    identity_slots,
+)
 
 __all__ = [
     "BondFactor",
@@ -66,18 +72,28 @@ def extract_bond_projectors(
     this term.
     """
     thresh = np.sqrt(tol)
+    blocks = dec.blocks
+    # Compress once onto U x U, U = [W_0 ... W_n]: the slice of block pair
+    # (a, b) is exactly (W_a x W_b)^dag P (W_a x W_b).
+    u = np.hstack([blk.isometry for blk in blocks])
+    uu = np.kron(u, u)
+    dim = u.shape[1]
+    full = (la.dag(uu) @ p.op @ uu).reshape(dim, dim, dim, dim)
+    offs = _block_offsets(dec.block_dims)
     bonds: list[list[BondFactor]] = []
     defects = []
-    for a, ba in enumerate(dec.blocks):
+    for a, ba in enumerate(blocks):
+        sa = slice(offs[a], offs[a + 1])
         row = []
-        for b, bb in enumerate(dec.blocks):
-            w = np.kron(ba.isometry, bb.isometry)
-            comp = la.dag(w) @ p.op @ w
+        for b, bb in enumerate(blocks):
+            sb = slice(offs[b], offs[b + 1])
+            size = ba.l * ba.r * bb.l * bb.r
+            comp = full[sa, sb, sa, sb].reshape(size, size)
             t = comp.reshape(ba.l, ba.r, bb.l, bb.r, ba.l, ba.r, bb.l, bb.r)
             q = np.einsum("xabyxcdy->abcd", t).reshape(
                 ba.r * bb.l, ba.r * bb.l
             ) / (ba.l * bb.r)
-            defects.append(comp - la.kron_all(np.eye(ba.l), q, np.eye(bb.r)))
+            defects.append(comp - identity_slots(ba.l, q, bb.r))
             q = (q + la.dag(q)) / 2.0
             defects.append(q @ q - q)
             # Projector spectrum is {0,1}; threshold at 1/2 is robust.
@@ -98,7 +114,7 @@ def extract_bond_projectors(
     # One batched SVD for every residual and idempotency defect; the first
     # failing pair is reported, its residual before its idempotency.
     for k, (resid, idem) in enumerate(la.op_norms(defects).reshape(-1, 2)):
-        a, b = divmod(k, len(dec.blocks))
+        a, b = divmod(k, len(blocks))
         if resid > thresh:
             raise FactorizationFailed(
                 f"bond ({a},{b}) does not factor with identity outer slots "
@@ -118,10 +134,7 @@ def extract_bond_projectors(
 def reconstruct_term(dec: SiteDecomposition, bonds: list[list[BondFactor]]) -> np.ndarray:
     """Rebuild the two-site operator from the block data (inverse of extraction)."""
     return assemble_two_site(
-        dec.d,
-        dec.block_dims,
-        [b.isometry for b in dec.blocks],
-        lambda a, b: bonds[a][b].q,
+        dec.block_dims, [b.isometry for b in dec.blocks], lambda a, b: bonds[a][b].q
     )
 
 

@@ -7,11 +7,14 @@ the dimension of the energy-k eigenspace is the x^k coefficient of
 Tr((M + x R)^N), since the bond projectors in a fixed block sector act on
 disjoint tensor slots and admit a simultaneous eigenbasis labelled by
 per-bond outcomes.  The census is exact and multimodular: the polynomial
-is evaluated at roots of unity modulo NTT primes in int64, transformed
-back and rebuilt by CRT.  It is bounded in N: past ``MAX_CENSUS_ENTRIES``
-evaluation entries or ``MAX_GARNER_STEPS`` CRT steps (fig2: N > 2047,
-ising: N > 6208) it raises ``TooLarge``.  Both quantities are validated
-against the exact-diagonalization oracle in the test suite.
+is evaluated at roots of unity modulo 31-bit NTT primes in uint64, with
+products of residues summed unreduced four at a time (delayed reduction,
+as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
+transformed back and rebuilt by CRT.  It is bounded in N: past
+``MAX_CENSUS_ENTRIES`` evaluation entries or ``MAX_GARNER_STEPS`` CRT
+steps (fig2: N > 2047, ising: N > 6208) it raises ``TooLarge``.  Both
+quantities are validated against the exact-diagonalization oracle in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ DEFAULT_CYCLE_CAP = 10_000
 DEFAULT_STATE_CAP = 10_000
 
 # The census refuses a chain whose evaluation stack, primes x L x nv^2
-# int64 entries, would exceed this (fig2, nv = 4: N <= 2047).
+# uint64 entries, would exceed this (fig2, nv = 4: N <= 2047).
 MAX_CENSUS_ENTRIES = 1 << 23
 # ... or whose Garner CRT would take more primes^2 x (N + 1) steps (ising: N <= 6208).
 MAX_GARNER_STEPS = 1 << 28
@@ -38,8 +41,11 @@ MAX_GARNER_STEPS = 1 << 28
 # entries than this, estimated as min(cap, degeneracy) x N x d^2
 # (ising: N <= 131072).
 MAX_GROUND_ENTRIES = 1 << 20
-# Int64 entries per slab of evaluation points raised to the N-th power.
+# Uint64 entries per slab of evaluation points raised to the N-th power.
 _CENSUS_SLAB = 1 << 14
+# Products of two residues mod p < 2^31 a uint64 sum below p takes before
+# it is reduced: p - 1 + 4 (p - 1)^2 < 2^64.
+_UNREDUCED_PRODUCTS = 4
 # NTT primes by two-adic order k: the largest p < 2^31 with p = 1 mod 2^k.
 _NTT_PRIMES: dict[int, list[int]] = {}
 
@@ -518,7 +524,7 @@ def _root_of_unity(p: int, size: int) -> int:
 
 
 def _reduce(a: np.ndarray, p: int, scratch: np.ndarray | None = None) -> None:
-    """Int64 ``a`` mod p into [0, p), in place.
+    """Int64 or uint64 ``a`` mod p into [0, p), in place.
 
     ``a - (a // p) p`` with a scalar divisor is about twice as fast as
     ``np.remainder``: numpy divides by a scalar without a division
@@ -532,30 +538,64 @@ def _reduce(a: np.ndarray, p: int, scratch: np.ndarray | None = None) -> None:
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product mod p of two (nv, nv, batch) stacks.
+    """Matrix product mod p of two (nv, nv, batch) uint64 stacks.
 
     The batch axis is last, so every elementwise pass runs over long
     contiguous rows.  Entries of a and b lie in [0, p) with p < 2^31, so
-    each product is below 2^62.  Every product is reduced before it is
-    added, so the running sum stays below nv p: no int64 intermediate
-    can overflow.
+    each product is at most (p - 1)^2 < 2^62, and a sum below p can take
+    g = ``_UNREDUCED_PRODUCTS`` = 4 more before it passes 2^64 - 1.
+    Products are summed unreduced; the running sum is reduced after every
+    g of them and once at the end: one reduction per matrix product when
+    nv <= 4.
     """
-    out = np.zeros_like(a)
+    g = _UNREDUCED_PRODUCTS
+    out = np.empty_like(a)
     term = np.empty_like(a)
-    scratch = np.empty_like(a)
-    for k in range(a.shape[0]):
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    for k in range(1, a.shape[0]):
+        if k % g == 0:
+            _reduce(out, p, term)
         np.multiply(a[:, k, None], b[None, k], out=term)
-        _reduce(term, p, scratch)
         out += term
-    _reduce(out, p, scratch)
+    _reduce(out, p, term)
     return out
+
+
+def _trace_mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Tr(a b) mod p of two (nv, nv, batch) uint64 stacks: nv^2 products, reduced as in ``_mulmod``."""
+    prod = (a * b.swapaxes(0, 1)).reshape(-1, a.shape[-1])
+    out = np.zeros(a.shape[-1], dtype=np.uint64)
+    for lo in range(0, len(prod), _UNREDUCED_PRODUCTS):
+        out += prod[lo : lo + _UNREDUCED_PRODUCTS].sum(axis=0)
+        _reduce(out, p)
+    return out
+
+
+def _trace_power(base: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Tr(base^n) mod p of a (nv, nv, batch) uint64 stack, by left-to-right binary powering.
+
+    Each product is acc acc, or acc base on a 1 bit of n; of the last one
+    only the trace is formed.
+    """
+    with_base: list[bool] = []
+    for bit in bin(n)[3:]:
+        with_base += [False, True] if bit == "1" else [False]
+    if not with_base or not len(base):  # n = 1, or no vertices
+        tr = np.trace(base)
+        _reduce(tr, p)
+        return tr
+    acc = base
+    for flag in with_base[:-1]:
+        acc = _mulmod(acc, base if flag else acc, p)
+    return _trace_mulmod(acc, base if with_base[-1] else acc, p)
 
 
 def _census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
     """Coefficients 0..n of Tr((M + xR)^n) mod p.
 
     Evaluates at the ``size`` powers of a root of unity, ``_CENSUS_SLAB``
-    entries at a time, then applies an inverse NTT of O(size log size).
+    entries at a time, in uint64, then applies an inverse NTT of
+    O(size log size) in int64.
     """
     nv = len(m)
     w = _root_of_unity(p, size)
@@ -568,23 +608,15 @@ def _census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
         np.multiply(pw[:filled], pow(w, filled, p), out=seg)
         _reduce(seg, p)
         filled *= 2
-    mp = np.array([[x % p for x in row] for row in m], dtype=np.int64).reshape(nv, nv)
-    rp = np.array([[x % p for x in row] for row in r], dtype=np.int64).reshape(nv, nv)
-    # Tr(A(w^i)^n) by left-to-right binary powering.
+    mp = np.array([[x % p for x in row] for row in m], dtype=np.uint64).reshape(nv, nv)
+    rp = np.array([[x % p for x in row] for row in r], dtype=np.uint64).reshape(nv, nv)
     traces = np.empty(size, dtype=np.int64)
     step = max(1, _CENSUS_SLAB // max(1, nv * nv))
     for lo in range(0, size, step):
-        x = pw[lo: lo + step]
+        x = pw[lo: lo + step].astype(np.uint64)
         base = rp[:, :, None] * x + mp[:, :, None]
         _reduce(base, p)
-        acc = base
-        for bit in bin(n)[3:]:
-            acc = _mulmod(acc, acc, p)
-            if bit == "1":
-                acc = _mulmod(acc, base, p)
-        tr = np.trace(acc)
-        _reduce(tr, p)
-        traces[lo: lo + len(x)] = tr
+        traces[lo: lo + len(x)] = _trace_power(base, n, p)
     # Inverse transform: radix-2 decimation in time on bit-reversed input,
     # in place, with twiddles w^-j = pw[(size - j) % size].
     rev = np.zeros(1, dtype=np.intp)
@@ -661,11 +693,13 @@ def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
     p = c 2^k + 1 < 2^31, enough that their product exceeds
     T = Tr((M + R)^N).  Every coefficient is a nonnegative integer at most
     T, so the CRT answer is unique.  Per prime, the evaluated matrices are
-    raised to the N-th power in int64 (each product of two residues is
-    below 2^62 and is reduced before it is summed, so a running sum stays
-    below nv p), their traces are transformed back by an inverse NTT, and
-    the coefficients are rebuilt by Garner's algorithm.  The coefficients
-    must sum to T exactly; that is checked on every call.
+    raised to the N-th power in uint64 (each product of two residues is at
+    most (p - 1)^2 < 2^62, and a sum below p takes 4 of them unreduced
+    without passing 2^64 - 1, so a running sum is reduced after every 4
+    products; of the last product only the trace is formed), their traces
+    are transformed back by an inverse NTT, and the coefficients are
+    rebuilt by Garner's algorithm.  The coefficients must sum to T
+    exactly; that is checked on every call.
 
     Raises ``TooLarge``, before any evaluation, past the bounds of
     ``check_census_size``; the prime count is bounded from

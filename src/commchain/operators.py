@@ -28,6 +28,8 @@ negative-eigenvalue margin, the Schmidt coefficients' imaginary part
 factoring, idempotency and reconstruction, the commutator residual of the
 pruned and of the commutified term, and the disentangler's target and
 unitarity.  Thresholds that do not scale with ``tol`` are named constants.
+``tol`` itself has one floor, ``MIN_TOL``, which the command line enforces:
+below it, rounding alone fails the input gates.
 
 Conventions: the two-site basis is |i> x |j| with flat index i*d + j, the
 left site first.
@@ -44,6 +46,12 @@ from . import _linalg as la
 from .errors import InvalidSpec, NotHermitian, NotPSD
 
 DEFAULT_TOL = 1e-9
+
+# Smallest tol the command line accepts.  Rounding alone gives a commuting
+# term a commutator residual up to 2.4e-14 (synthesized terms at d = 16;
+# 1.1e-14 at d = 9) and zero eigenvalues up to 2.1e-15; at tol = 1e-14 the
+# gate already reads some of them as non-commuting.  The floor is 40x above.
+MIN_TOL = 1e-12
 
 # Relative cutoff for treating singular values / eigenvalues as zero.
 RANK_RTOL = 1e-9
@@ -239,8 +247,18 @@ def _block_offsets(block_spec: list[tuple[int, int]]) -> list[int]:
     return offs
 
 
+def identity_slots(l: int, q: np.ndarray, r: int) -> np.ndarray:
+    """1_l (x) q (x) 1_r, by broadcasting."""
+    m = q.shape[0]
+    out = (
+        np.eye(l)[:, None, None, :, None, None]
+        * q[None, :, None, None, :, None]
+        * np.eye(r)[None, None, :, None, None, :]
+    )
+    return out.reshape(l * m * r, l * m * r)
+
+
 def assemble_two_site(
-    d: int,
     block_spec: list[tuple[int, int]],
     isometries: list[np.ndarray],
     q_blocks,
@@ -249,16 +267,20 @@ def assemble_two_site(
 
     ``q_blocks(a, b)`` supplies the middle operator on H_{a_r} (x) H_{b_l};
     the same plumbing builds projectors and block-diagonal unitaries.
+    Every 1_l x O_ab x 1_r is placed in the block basis of
+    U = [W_0 ... W_n], and the sum is conjugated back once by U x U.
     """
-    n = d * d
-    out = np.zeros((n, n), dtype=complex)
+    offs = _block_offsets(block_spec)
+    dim = offs[-1]
+    mid = np.zeros((dim, dim, dim, dim), dtype=complex)
     for a, (la_, ra) in enumerate(block_spec):
+        sa = slice(offs[a], offs[a + 1])
         for b, (lb, rb) in enumerate(block_spec):
-            q = q_blocks(a, b)
-            mid = la.kron_all(np.eye(la_), q, np.eye(rb))
-            w = np.kron(isometries[a], isometries[b])
-            out += w @ mid @ la.dag(w)
-    return out
+            sb = slice(offs[b], offs[b + 1])
+            block = identity_slots(la_, q_blocks(a, b), rb)
+            mid[sa, sb, sa, sb] = block.reshape(la_ * ra, lb * rb, la_ * ra, lb * rb)
+    w = np.kron(np.hstack(isometries), np.hstack(isometries))
+    return w @ mid.reshape(dim * dim, dim * dim) @ la.dag(w)
 
 
 def synthesize_local_term(
@@ -301,7 +323,7 @@ def synthesize_local_term(
             kern = u[:, :k]
             qs[a, b] = np.eye(m) - kern @ la.dag(kern)
 
-    op = assemble_two_site(d, block_spec, isos, lambda a, b: qs[a, b])
+    op = assemble_two_site(block_spec, isos, lambda a, b: qs[a, b])
     term = ProjectorTerm(d, (op + la.dag(op)) / 2.0)
     term.validate()
     return term

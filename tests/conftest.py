@@ -125,6 +125,104 @@ def bigint_census(t: TransferMatrices, n: int) -> SpectralCensus:
     return SpectralCensus(N=n, dims=dims)
 
 
+# --- per-product reference for the census residues ---------------------------
+
+
+def reference_census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
+    """Reference ``groundspace._census_residues``: int64 stacks, every product reduced.
+
+    Each matrix product reduces each of its nv products before adding it,
+    and the binary powering forms the whole last product before its trace;
+    the inverse NTT is the same radix-2 transform.
+    """
+    from commchain.groundspace import _CENSUS_SLAB, _reduce, _root_of_unity
+
+    def mulmod(a, b):
+        out = np.zeros_like(a)
+        for k in range(a.shape[0]):
+            term = a[:, k, None] * b[None, k]
+            _reduce(term, p)
+            out += term
+        _reduce(out, p)
+        return out
+
+    nv = len(m)
+    w = _root_of_unity(p, size)
+    pw = np.array([pow(w, i, p) for i in range(size)], dtype=np.int64)
+    mp = np.array([[x % p for x in row] for row in m], dtype=np.int64).reshape(nv, nv)
+    rp = np.array([[x % p for x in row] for row in r], dtype=np.int64).reshape(nv, nv)
+    traces = np.empty(size, dtype=np.int64)
+    step = max(1, _CENSUS_SLAB // max(1, nv * nv))
+    for lo in range(0, size, step):
+        x = pw[lo : lo + step]
+        base = rp[:, :, None] * x + mp[:, :, None]
+        _reduce(base, p)
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = mulmod(acc, acc)
+            if bit == "1":
+                acc = mulmod(acc, base)
+        tr = np.trace(acc)
+        _reduce(tr, p)
+        traces[lo : lo + len(x)] = tr
+    rev = np.zeros(1, dtype=np.intp)
+    while rev.size < size:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    a = traces[rev]
+    inv_pw = np.concatenate((pw[:1], pw[:0:-1]))
+    half = 1
+    while half < size:
+        view = a.reshape(-1, 2 * half)
+        tw = inv_pw[:: size // (2 * half)][:half]
+        v = view[:, half:] * tw
+        _reduce(v, p)
+        np.subtract(view[:, :half], v, out=view[:, half:])
+        view[:, :half] += v
+        _reduce(view, p)
+        half *= 2
+    out = a[: n + 1] * pow(size, -1, p)
+    _reduce(out, p)
+    return out
+
+
+# --- per-pair reference for the bond projectors -------------------------------
+
+
+def reference_assemble_two_site(block_spec, isometries, q_blocks) -> np.ndarray:
+    """Reference ``operators.assemble_two_site``: each pair's kron and conjugation in turn."""
+    d = isometries[0].shape[0]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for a, (la_, _) in enumerate(block_spec):
+        for b, (_, rb) in enumerate(block_spec):
+            mid = np.kron(np.kron(np.eye(la_), q_blocks(a, b)), np.eye(rb))
+            w = np.kron(isometries[a], isometries[b])
+            out += w @ mid @ la.dag(w)
+    return out
+
+
+def reference_bond_projectors(p, dec) -> list[list[tuple[np.ndarray, int, np.ndarray, float]]]:
+    """Reference ``graph.extract_bond_projectors``: each pair compressed by its own W_a x W_b.
+
+    Returns (q, kernel dim, kernel basis, factoring residual) per ordered
+    block pair, with no gate.
+    """
+    out = []
+    for ba in dec.blocks:
+        row = []
+        for bb in dec.blocks:
+            w = np.kron(ba.isometry, bb.isometry)
+            comp = la.dag(w) @ p.op @ w
+            t = comp.reshape(ba.l, ba.r, bb.l, bb.r, ba.l, ba.r, bb.l, bb.r)
+            q = np.einsum("xabyxcdy->abcd", t).reshape(ba.r * bb.l, ba.r * bb.l) / (ba.l * bb.r)
+            resid = la.op_norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
+            q = (q + la.dag(q)) / 2.0
+            w_eig, v_eig = np.linalg.eigh(q)
+            kernel = v_eig[:, w_eig < 0.5]
+            row.append((q, kernel.shape[1], kernel, resid))
+        out.append(row)
+    return out
+
+
 # --- closure reference for the site decomposition ---------------------------
 
 

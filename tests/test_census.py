@@ -10,13 +10,14 @@ evaluations of the same polynomial instead.
 
 import random
 
+import numpy as np
 import pytest
 
 from commchain import groundspace, models
 from commchain.errors import TooLarge
 from commchain.groundspace import TransferMatrices, degeneracy, spectral_census
 
-from conftest import bigint_census, full_pipeline
+from conftest import bigint_census, full_pipeline, reference_census_residues
 
 SMALL_N = (1, 2, 3, 7, 8, 15, 16, 31, 32)
 
@@ -153,3 +154,54 @@ def test_sum_self_check_raises(monkeypatch):
     monkeypatch.setattr(groundspace, "_garner", lambda r, p: [c + 1 for c in real(r, p)])
     with pytest.raises(AssertionError, match="sum"):
         spectral_census(TransferMatrices(M=[[1, 0], [0, 1]], R=[[0, 1], [1, 0]]), 5)
+
+
+def test_residues_equal_the_per_product_reference(monkeypatch):
+    # Every prime of every census, for nv = 1..9 (on both sides of each
+    # group of 4 unreduced products) and N up to 300.
+    real = groundspace._census_residues
+    seen = []
+
+    def checked(m, r, n, p, size):
+        out = real(m, r, n, p, size)
+        ref = reference_census_residues(m, r, n, p, size)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref), (len(m), n, p)
+        seen.append(p)
+        return out
+
+    monkeypatch.setattr(groundspace, "_census_residues", checked)
+    rng = random.Random(15)
+    for nv in range(1, 10):
+        for n in (1, 2, 3, 5, 8, 31, 300):
+            m, r = ([[rng.randint(0, 2) for _ in range(nv)] for _ in range(nv)] for _ in range(2))
+            spectral_census(TransferMatrices(M=m, R=r), n)
+    assert len(seen) > 300, len(seen)
+
+
+def test_fig2_residues_equal_the_per_product_reference_at_the_bound():
+    t = TransferMatrices.from_graph(full_pipeline(models.fig2())[3])
+    n, size = 2047, 4096
+    for p in groundspace._ntt_primes(12, 3):
+        out = groundspace._census_residues(t.M, t.R, n, p, size)
+        assert np.array_equal(out, reference_census_residues(t.M, t.R, n, p, size)), p
+
+
+@pytest.mark.parametrize("nv", range(1, 10))
+def test_one_reduction_per_group_of_four_products(monkeypatch, nv):
+    # Each matrix product sums nv unreduced products, reducing after every
+    # group of 4 and at the end: one reduction per product when nv <= 4.
+    real = groundspace._reduce
+    calls = []
+    monkeypatch.setattr(groundspace, "_reduce", lambda *a: calls.append(1) or real(*a))
+    p = groundspace._ntt_primes(10, 1)[0]
+    assert groundspace._UNREDUCED_PRODUCTS == 4 and (2**64 - p) // (p - 1) ** 2 == 4
+    rng = np.random.default_rng(nv)
+    a, b = (rng.integers(0, p, (nv, nv, 7), dtype=np.uint64) for _ in range(2))
+    out = groundspace._mulmod(a, b, p)
+    assert len(calls) == -(-nv // 4)
+    expect = np.einsum("ikb,kjb->ijb", a.astype(object), b.astype(object)) % p
+    assert np.array_equal(out.astype(object), expect)
+    del calls[:]
+    tr = groundspace._trace_mulmod(a, b, p)
+    assert len(calls) == -(-nv * nv // 4)
+    assert np.array_equal(tr.astype(object), np.einsum("ii...->...", expect) % p)

@@ -278,25 +278,22 @@ def test_bridge_pipe_chain(tmp_path, capsys):
     assert cert["kernel_match"] is True
 
 
-@pytest.mark.parametrize("tol", ["1e-15", "1e-12"])
+@pytest.mark.parametrize("tol", ["1e-12"])
 def test_prune_and_commutify_gates_hold_at_small_tol(tmp_path, capsys, small_corpus, tol):
     # The pruned term's commutator gate and commutify's zero-eigenvalue cut
-    # once had floors (1e-10 and 1e-9); they now read sqrt(tol) and tol.
+    # once had floors (1e-10 and 1e-9); they now read sqrt(tol) and tol,
+    # down to the smallest tol the command line accepts.
+    assert float(tol) == operators.MIN_TOL
     sources = [["--model", "ising"]]
     for m in small_corpus:
         if m.scale_invariant_planted:
             path = tmp_path / f"{m.name}.json"
             path.write_text(json.dumps(m.term.to_dict()))
             sources.append(["--input", str(path)])
-    accepted = 0
     for source in sources:
         gate, _ = run_cli(capsys, ["analyze", *source, "--tol", tol])
         code, out = run_cli(capsys, ["canonical", *source, "--tol", tol])
-        # Below the rounding of a residual (about 1e-15) the input gate
-        # refuses a commuting term (exit 2); a term it accepts is canonicalized.
-        assert (gate, code) in ((0, 0), (2, 2)), (source, json.loads(out).get("error"))
-        accepted += code == 0
-    assert accepted >= (len(sources) if tol == "1e-12" else 2)
+        assert (gate, code) == (0, 0), (source, json.loads(out).get("error"))
     for seed in ("1", "2", "3"):
         parent, solved = tmp_path / "parent.json", tmp_path / "solved.json"
         for argv in (
@@ -566,7 +563,8 @@ def test_bad_tol_chi_and_cap_are_usage_errors(capsys):
     # Past the parser, a nan or negative tol reads ising as non-commuting
     # (exit 2) and writes a NaN into the report; inf fails every reseed.
     bad = []
-    for value in ("nan", "inf", "-1", "0", "-0.0"):
+    # Below operators.MIN_TOL, rounding alone fails the commutator gate.
+    for value in ("nan", "inf", "-1", "0", "-0.0", "1e-300", "1e-15", "9.9e-13"):
         bad += [[name, "--model", "ising", "--tol", value] for name in ("analyze", "graph")]
         bad.append(["census", "--model", "ising", "--N", "3", "--tol", value])
         bad.append(["bridge", "mps-parent", "--tol", value])
@@ -592,8 +590,32 @@ def test_bad_tol_chi_and_cap_are_usage_errors(capsys):
         assert code == 1
         kind = "float" if argv[-2] == "--tol" else "int"
         assert f"argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}" in doc["error"]
-    code, out = run_cli(capsys, ["analyze", "--model", "ising", "--tol", "1e-300"])
-    assert code == 0 and json.loads(out)["tol"] == 1e-300
+    code, out = run_cli(capsys, ["analyze", "--model", "ising", "--tol", "1e-12"])
+    assert code == 0 and json.loads(out)["tol"] == operators.MIN_TOL == 1e-12
+    assert "at least 1e-12" in _subparsers(cli.build_parser())["analyze"].format_help()
+
+
+def test_tol_floor_sits_a_decade_above_rounding(tmp_path, capsys):
+    # Scale-invariant terms at d = 6, 7 and 9 (those of the benchmark) and up
+    # to d = 16: rounding gives residuals of 5e-15 to 2.4e-14, which --tol
+    # 1e-15 read as non-commuting (exit 2).  MIN_TOL is 10x above them all.
+    specs = [
+        ([(1, 2), (2, 2)], [[1, 2], [0, 1]]),
+        ([(1, 1), (1, 2), (2, 2)], [[1, 1, 1], [0, 1, 2], [0, 0, 1]]),
+        ([(1, 1), (2, 2), (2, 2)], [[1, 1, 2], [0, 1, 2], [0, 0, 1]]),
+        ([(2, 2), (2, 4)], [[1, 3], [0, 1]]),
+        ([(2, 4), (2, 4)], [[1, 5], [0, 1]]),
+    ]
+    for seed, (blocks, kdims) in enumerate(specs):
+        term = operators.synthesize_local_term(blocks, kdims, seed)
+        residual = operators.commutator_residual(operators.operator_schmidt(term))
+        assert 10 * residual <= operators.MIN_TOL, (term.d, residual)
+        if term.d > 9:
+            continue
+        path = tmp_path / f"d{term.d}.json"
+        path.write_text(json.dumps(term.to_dict()))
+        code, out = run_cli(capsys, ["analyze", "--input", str(path), "--tol", "1e-12"])
+        assert code == 0 and json.loads(out)["commuting"] is True, term.d
 
 
 # --- chain length lists -------------------------------------------------------

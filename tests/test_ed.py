@@ -300,16 +300,22 @@ def test_hermiticity_check_catches_a_non_hermitian_term():
 
 def test_fig2_n6_spectrum_allocates_no_dense_matrix():
     # d^N = 4096: the dense chain matrix alone would take 268 MB.  zero(16)
-    # at N=3 has 1376 orbits and blocks of 1376 and 1360 (30 MB each): a
-    # block pass may hold the block it yielded, the next one and slabs.
-    for p, n, limit, ground in ((models.fig2(), 6, 64, 64), (models.zero(16), 3, 80, 4096)):
+    # at N=3 has 1376 orbits and blocks of 1376 and 1360 (30 MB each): each
+    # block is dropped before the next one is allocated, so a block pass
+    # holds one block and a few slabs of _SLAB_BINS entries.
+    one_block = (1376**2 + 4 * ed._SLAB_BINS) * 16
+    for p, n, limit, ground in ((models.fig2(), 6, 64 * 2**20, 64), (models.zero(16), 3, one_block, 4096)):
         tracemalloc.start()
         try:
             spec = integer_spectrum(build_chain(p, n))
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for *_, block in _momentum_blocks(build_chain(p, n)):
+                del block
+            bare = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit * 2**20, (p.d, peak)
+        assert peak < limit and bare < limit, (p.d, peak, bare)
         assert spec[0] == ground and sum(spec.values()) == p.d**n
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from commchain import models
-from commchain._linalg import op_norm
+from commchain._linalg import op_norm, subspace_angle_sin
 from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
 from commchain.graph import export_dot, extract_bond_projectors, reconstruct_term
-from commchain.operators import ProjectorTerm, operator_schmidt
+from commchain.operators import ProjectorTerm, assemble_two_site, operator_schmidt
 
-from conftest import full_pipeline
+from conftest import full_pipeline, reference_assemble_two_site, reference_bond_projectors
 
 # Bell-type states of the four fig2 blocks, in the paper's (a, b, g, t) order.
 FIG2_BELLS = np.array(
@@ -167,3 +167,44 @@ def test_export_dot_edgeless():
     assert "->" not in dot
     assert "a0" in dot
 
+
+
+def test_bond_projectors_match_the_per_pair_reference(ising, fig2, small_corpus, acceptance_corpus):
+    # One compression onto U x U, sliced per pair, against each pair's own
+    # (W_a x W_b)^dag P (W_a x W_b); and one assembly in the block basis
+    # against each pair's kron and conjugation, on the bonds and on random
+    # middle operators.
+    rng = np.random.default_rng(15)
+    terms = [ising, fig2] + [m.term for m in small_corpus + acceptance_corpus]
+    for term in terms:
+        p, dec, bonds, g = full_pipeline(term)
+        for a, row in enumerate(reference_bond_projectors(p, dec)):
+            for b, (q, kernel_dim, kernel, resid) in enumerate(row):
+                bf = bonds[a][b]
+                assert op_norm(bf.q - q) < 1e-12
+                assert bf.kernel_dim == kernel_dim == g.M[a, b]
+                assert q.shape[0] - kernel_dim == g.R[a, b]
+                assert subspace_angle_sin(bf.kernel_basis, kernel) < 1e-10
+                assert resid < 1e-12
+        isos = [blk.isometry for blk in dec.blocks]
+        mids = {
+            (a, b): rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for a, row in enumerate(bonds)
+            for b, n in enumerate(bf.q.shape[0] for bf in row)
+        }
+        for q_blocks in (lambda a, b: bonds[a][b].q, lambda a, b: mids[a, b]):
+            got = assemble_two_site(dec.block_dims, isos, q_blocks)
+            ref = reference_assemble_two_site(dec.block_dims, isos, q_blocks)
+            assert op_norm(got - ref) < 1e-12 * max(op_norm(ref), 1.0)
+
+
+def test_extract_bond_projectors_makes_no_per_pair_kron(fig2, monkeypatch):
+    # fig2 has 4 blocks, 16 pairs: one U x U for the compression, one for
+    # the reconstruction.
+    p, dec, bonds, _ = full_pipeline(fig2)
+    real = np.kron
+    calls = []
+    monkeypatch.setattr(np, "kron", lambda *args: calls.append(1) or real(*args))
+    again = extract_bond_projectors(p, dec)
+    assert len(dec.blocks) == 4 and len(calls) == 2
+    assert all(np.array_equal(x.q, y.q) for rx, ry in zip(bonds, again) for x, y in zip(rx, ry))

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commchain import cli
+from commchain import cli, models
 from commchain._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
+from commchain.groundspace import TransferMatrices, degeneracy, spectral_census
+
+from conftest import full_pipeline
 
 SETTINGS = settings(max_examples=8, derandomize=True, deadline=None, database=None)
 
@@ -95,12 +98,41 @@ def test_writer_non_string_keys_fall_back_to_json_dumps():
     assert cli._dumps({"a": doc}) == json.dumps({"a": doc}, indent=2)
 
 
-def test_writer_refuses_an_integer_past_the_print_limit():
-    doc = {"S": complex_to_json(np.eye(2)), "dims": {"0": 10**5000}}
-    with pytest.raises(ValueError):
-        json.dumps(doc, indent=2)
-    with pytest.raises(ValueError):
-        cli._dumps(doc)
+def test_writer_refuses_an_integer_past_the_print_limit(capsys):
+    for doc in (
+        {"S": complex_to_json(np.eye(2)), "dims": {"0": 10**5000}},
+        {"dims": {"0": 1, "1": 10**5000}},
+    ):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(ValueError):
+            cli._dumps(doc)
+        with pytest.raises(cli._ReportTooLarge):
+            cli._emit(doc, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_int_dicts_are_written_as_json_dumps_writes_them():
+    # Census dims and the degeneracy map at the census bounds, and the
+    # dicts that must stay off the int-dict template: empty, bool-valued,
+    # mixed, non-str keys.
+    docs = []
+    for name, n in (("fig2", 2047), ("ising", 6208)):
+        t = TransferMatrices.from_graph(full_pipeline(models.builtin(name))[3])
+        census = {str(n): spectral_census(t, n).to_dict()}
+        docs.append({"census": census, "seed": 0, "tol": 1e-9})
+        docs.append({"degeneracy": {str(k): degeneracy(t, k) for k in (1, 2, n)}, "seed": 0})
+    docs += [
+        {"dims": {}},
+        {"dims": {"0": True, "1": False}},
+        {"dims": {"0": 1, "1": True}},
+        {"dims": {"0": 1, "1": 2.0}},
+        {"dims": {0: 1, 1: 2}},
+        {"dims": {"é\n\"": -(2**70), "": 0}},
+        [{"1": 2}, {}, complex_to_json([1j])],
+    ]
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
 def test_codec_array_is_a_plain_list_to_readers():
