@@ -2,8 +2,11 @@
 
 Everything here works on plain complex numpy arrays.  Matrices are small
 (site dimension squared at most: three-site identities are reduced to
-Schmidt factors before they get here), so we always go through full
-SVD/eigh rather than iterative methods.  The JSON codec for complex
+Schmidt factors before they get here), so null spaces and row spaces go
+through a full SVD rather than iterative methods.  Identity checks take
+no SVD: their defects are Frobenius norms (see the ``operators``
+docstring).  The one spectral norm is ``subspace_angle_sin``'s, as the
+sine of a principal angle is one by definition.  The JSON codec for complex
 arrays (nested [re, im] pairs) lives here too, so every report writes
 and reads them the same way.  ``complex_to_json`` returns a
 ``ComplexArrayJSON``: a plain list to every reader, which also carries
@@ -19,8 +22,6 @@ import numpy as np
 
 __all__ = [
     "dag",
-    "op_norm",
-    "op_norms",
     "hermiticity_defect",
     "nullspace",
     "orthonormalize_rows",
@@ -45,33 +46,9 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Spectral (largest singular value) norm."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def op_norms(mats: list[np.ndarray]) -> np.ndarray:
-    """Spectral norms of ``mats``, by one SVD of their zero-padded stack.
-
-    Each entry has shape (..., rows, cols) with the same leading axes;
-    the result has shape (len(mats), ...).  Zero padding keeps the
-    singular values.
-    """
-    lead = mats[0].shape[:-2]
-    rows = max(m.shape[-2] for m in mats)
-    cols = max(m.shape[-1] for m in mats)
-    pad = np.zeros((len(mats),) + lead + (rows, cols), dtype=complex)
-    for k, m in enumerate(mats):
-        pad[k, ..., : m.shape[-2], : m.shape[-1]] = m
-    if pad.size == 0:
-        return np.zeros(pad.shape[:-2])
-    return np.linalg.svd(pad, compute_uv=False)[..., 0]
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
-    return op_norm(a - dag(a))
+    """Frobenius norm of a - a^dag."""
+    return float(np.linalg.norm(a - dag(a)))
 
 
 def nullspace(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -195,7 +172,7 @@ def subspace_angle_sin(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     ra = a - b @ (dag(b) @ a)
     rb = b - a @ (dag(a) @ b)
-    return max(op_norm(ra), op_norm(rb))
+    return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
 class ComplexArrayJSON(list):

@@ -170,8 +170,9 @@ def solve_x(h: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0) -> XCandidate
     if lo <= tol:
         return None
     # ||D(X)||_F <= 2 ||h||_F^2 ||X||_2: accept a relative defect of 1e-10.
+    # X is hermitian with ascending eigenvalues w: ||X||_2 = max(-w_0, w_-1).
     residual = _defect_norm(a, b, x)
-    if residual > max(tol, 1e-10 * np.linalg.norm(h.op) ** 2 * np.linalg.norm(x, 2)):
+    if residual > max(tol, 1e-10 * np.linalg.norm(h.op) ** 2 * max(-w[0], w[-1])):
         return None
     return XCandidate(x=x, min_eigenvalue=lo, residual=residual)
 

@@ -175,7 +175,7 @@ def disentangling_unitary(
         b1 = la.complete_orthonormal(st.phi)
         b2 = la.complete_orthonormal(target)
         u_a = b2 @ la.dag(b1)
-        defect = la.op_norm(u_a @ st.phi[:, None] - target[:, None])
+        defect = np.linalg.norm(u_a @ st.phi - target)
         if defect > np.sqrt(tol):
             raise CommchainError(f"loop unitary misses its target by {defect:.3e}")
         chosen[st.block] = (xi_r, xi_l)
@@ -189,7 +189,7 @@ def disentangling_unitary(
         return np.eye(ra * lb, dtype=complex)
 
     u = assemble_two_site(dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
-    unit_defect = la.op_norm(u @ la.dag(u) - np.eye(dec.d**2))
+    unit_defect = np.linalg.norm(u @ la.dag(u) - np.eye(dec.d**2))
     if unit_defect > np.sqrt(tol):
         raise CommchainError(f"disentangler not unitary (defect {unit_defect:.3e})")
     return DisentanglerSpec(refs=chosen, u=u)

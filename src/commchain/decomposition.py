@@ -138,10 +138,8 @@ class SiteDecomposition:
         return [(b.l, b.r) for b in self.blocks]
 
     def completeness_defect(self) -> float:
-        total = np.zeros((self.d, self.d), dtype=complex)
-        for b in self.blocks:
-            total += b.isometry @ la.dag(b.isometry)
-        return la.op_norm(total - np.eye(self.d))
+        u = np.hstack([b.isometry for b in self.blocks])
+        return float(np.linalg.norm(u @ la.dag(u) - np.eye(self.d)))
 
 
 class _Retry(Exception):
@@ -159,9 +157,11 @@ def _verify_blocks(
     ``left_family`` are the factors that must act as s~ (x) 1_r (the site
     seen from its left neighbor); ``right_family`` must act as 1_l (x) c~.
     The slot conventions are easy to get backwards, so failures name the
-    family explicitly.  Every in-block and cross-block spectral norm comes
-    from one batched SVD; the first failure is reported in the order
-    family, factor, block, then in-block before cross-block.
+    family explicitly.  The residuals are the Frobenius norms of the
+    (factor, block, block) slices of U^dag F U, with the closest s~ (x) 1_r,
+    resp. 1_l (x) c~ subtracted in place on the diagonal blocks; the first
+    failure is reported in the order family, factor, block, then in-block
+    before cross-block.
     """
     names = (
         "left-neighbor factors (must act on H_l)",
@@ -171,19 +171,15 @@ def _verify_blocks(
     u = np.hstack([b.isometry for b in blocks])
     t = la.dag(u) @ np.concatenate([left_family, right_family]) @ u
     offs = np.cumsum([0] + [b.l * b.r for b in blocks])
-    mats = []
-    for i, bi in enumerate(blocks):
-        si = slice(offs[i], offs[i + 1])
-        for j in range(len(blocks)):
-            m = t[:, si, offs[j] : offs[j + 1]]
-            if i == j:  # subtract the closest s~ (x) 1_r, resp. 1_l (x) c~
-                t5 = m.reshape(-1, bi.l, bi.r, bi.l, bi.r)
-                near_left = np.einsum("kaxbx,yz->kaybz", t5[:nl], np.eye(bi.r)) / bi.r
-                near_right = np.einsum("kxaxb,yz->kyazb", t5[nl:], np.eye(bi.l)) / bi.l
-                m = m - np.concatenate([near_left, near_right]).reshape(m.shape)
-            mats.append(m)
-    nb = len(blocks)
-    norms = np.moveaxis(la.op_norms(mats).reshape(nb, nb, -1), -1, 0)  # (factor, i, j)
+    for i, b in enumerate(blocks):
+        s = slice(offs[i], offs[i + 1])
+        t5 = t[:, s, s].reshape(-1, b.l, b.r, b.l, b.r)
+        near_left = np.einsum("kaxbx,yz->kaybz", t5[:nl], np.eye(b.r)) / b.r
+        near_right = np.einsum("kxaxb,yz->kyazb", t5[nl:], np.eye(b.l)) / b.l
+        t[:, s, s] -= np.concatenate([near_left, near_right]).reshape(-1, b.l * b.r, b.l * b.r)
+    # Squared entries summed over each (block, block) slice: (factor, i, j).
+    sq = t.real**2 + t.imag**2
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(sq, offs[:-1], axis=1), offs[:-1], axis=2))
     bad = norms > thresh
     hits = np.argwhere(bad.any(axis=2))
     if len(hits):

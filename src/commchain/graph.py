@@ -81,7 +81,6 @@ def extract_bond_projectors(
     full = (la.dag(uu) @ p.op @ uu).reshape(dim, dim, dim, dim)
     offs = _block_offsets(dec.block_dims)
     bonds: list[list[BondFactor]] = []
-    defects = []
     for a, ba in enumerate(blocks):
         sa = slice(offs[a], offs[a + 1])
         row = []
@@ -93,9 +92,18 @@ def extract_bond_projectors(
             q = np.einsum("xabyxcdy->abcd", t).reshape(
                 ba.r * bb.l, ba.r * bb.l
             ) / (ba.l * bb.r)
-            defects.append(comp - identity_slots(ba.l, q, bb.r))
+            resid = np.linalg.norm(comp - identity_slots(ba.l, q, bb.r))
+            if resid > thresh:
+                raise FactorizationFailed(
+                    f"bond ({a},{b}) does not factor with identity outer slots "
+                    f"(residual {resid:.3e})"
+                )
             q = (q + la.dag(q)) / 2.0
-            defects.append(q @ q - q)
+            idem = np.linalg.norm(q @ q - q)
+            if idem > thresh:
+                raise FactorizationFailed(
+                    f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
+                )
             # Projector spectrum is {0,1}; threshold at 1/2 is robust.
             w_eig, v_eig = np.linalg.eigh(q)
             kernel = v_eig[:, w_eig < 0.5]
@@ -111,21 +119,7 @@ def extract_bond_projectors(
                 )
             )
         bonds.append(row)
-    # One batched SVD for every residual and idempotency defect; the first
-    # failing pair is reported, its residual before its idempotency.
-    for k, (resid, idem) in enumerate(la.op_norms(defects).reshape(-1, 2)):
-        a, b = divmod(k, len(blocks))
-        if resid > thresh:
-            raise FactorizationFailed(
-                f"bond ({a},{b}) does not factor with identity outer slots "
-                f"(residual {resid:.3e})"
-            )
-        if idem > thresh:
-            raise FactorizationFailed(
-                f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
-            )
-    recon = reconstruct_term(dec, bonds)
-    resid = la.op_norm(recon - p.op)
+    resid = np.linalg.norm(reconstruct_term(dec, bonds) - p.op)
     if resid > thresh:
         raise FactorizationFailed(f"reconstruction residual {resid:.3e}")
     return bonds

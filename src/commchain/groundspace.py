@@ -64,9 +64,7 @@ __all__ = [
     "ground_states",
     "check_ground_size",
     "check_census_size",
-    "assemble_state",
     "loop_mps_tensor",
-    "mps_reconstruct",
     "spectral_census",
 ]
 
@@ -321,39 +319,6 @@ class GroundStateList:
     truncated: bool
 
 
-def assemble_state(
-    dec: SiteDecomposition, cycle: tuple[int, ...], bond_vectors: list[np.ndarray]
-) -> np.ndarray:
-    """Dense chain vector for a cycle with one kernel vector per bond.
-
-    Bond j holds a vector in H_{r of site j} (x) H_{l of site j+1}; the
-    legs are regrouped per site and pushed through the block isometries.
-    """
-    blocks = dec.blocks
-    n = len(cycle)
-    tensor = np.array([1.0 + 0j])
-    for v in bond_vectors:
-        tensor = np.multiply.outer(tensor, v)
-    shape = []
-    for j in range(n):
-        a, b = cycle[j], cycle[(j + 1) % n]
-        shape += [blocks[a].r, blocks[b].l]
-    tensor = tensor.reshape(shape)
-    perm = []
-    for k in range(n):
-        perm += [(2 * k - 1) % (2 * n), 2 * k]
-    state = tensor.transpose(perm).reshape(-1)
-    done = 1
-    for k in range(n):
-        blk = blocks[cycle[k]]
-        cur = blk.l * blk.r
-        rest = state.size // (done * cur)
-        st = state.reshape(done, cur, rest)
-        state = np.einsum("sc,dcr->dsr", blk.isometry, st).reshape(-1)
-        done *= dec.d
-    return state
-
-
 def loop_mps_tensor(
     dec: SiteDecomposition, loop: GroundLoopState, bond_dim: int
 ) -> np.ndarray:
@@ -372,14 +337,6 @@ def loop_mps_tensor(
     out = np.zeros((dec.d, bond_dim, bond_dim), dtype=complex)
     out[:, : blk.l, : blk.l] = a
     return out
-
-
-def mps_reconstruct(tensor: np.ndarray, n: int) -> np.ndarray:
-    """Dense vector of the uniform MPS (periodic trace contraction)."""
-    part = tensor
-    for _ in range(n - 1):
-        part = np.einsum("...xy,tyz->...txz", part, tensor)
-    return np.einsum("...xx->...", part).reshape(-1)
 
 
 def check_ground_size(analysis, ns: list[int], cap: int = DEFAULT_STATE_CAP) -> None:

@@ -28,6 +28,10 @@ negative-eigenvalue margin, the Schmidt coefficients' imaginary part
 factoring, idempotency and reconstruction, the commutator residual of the
 pruned and of the commutified term, and the disentangler's target and
 unitarity.  Thresholds that do not scale with ``tol`` are named constants.
+Every matrix defect a threshold bounds (hermiticity, idempotency,
+factoring, completeness, reconstruction, unitarity; ``PROJECTOR_TOL``'s
+too) is a Frobenius norm, O(n^2) with no SVD: as ||A||_2 <= ||A||_F, a
+gate on it is never looser than the same gate on the spectral norm.
 ``tol`` itself has one floor, ``MIN_TOL``, which the command line enforces:
 below it, rounding alone fails the input gates.
 
@@ -102,7 +106,7 @@ class ProjectorTerm(LocalTerm):
 
     def validate(self) -> None:
         herm = la.hermiticity_defect(self.op)
-        idem = la.op_norm(self.op @ self.op - self.op)
+        idem = np.linalg.norm(self.op @ self.op - self.op)
         if herm > PROJECTOR_TOL or idem > PROJECTOR_TOL:
             raise ValueError(
                 f"not a projector: hermiticity defect {herm:.3e}, idempotency defect {idem:.3e}"

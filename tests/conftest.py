@@ -214,13 +214,56 @@ def reference_bond_projectors(p, dec) -> list[list[tuple[np.ndarray, int, np.nda
             comp = la.dag(w) @ p.op @ w
             t = comp.reshape(ba.l, ba.r, bb.l, bb.r, ba.l, ba.r, bb.l, bb.r)
             q = np.einsum("xabyxcdy->abcd", t).reshape(ba.r * bb.l, ba.r * bb.l) / (ba.l * bb.r)
-            resid = la.op_norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
+            resid = np.linalg.norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
             q = (q + la.dag(q)) / 2.0
             w_eig, v_eig = np.linalg.eigh(q)
             kernel = v_eig[:, w_eig < 0.5]
             row.append((q, kernel.shape[1], kernel, resid))
         out.append(row)
     return out
+
+
+# --- dense ground states -----------------------------------------------------
+
+
+def assemble_state(dec, cycle: tuple[int, ...], bond_vectors: list[np.ndarray]) -> np.ndarray:
+    """Dense chain vector for a cycle with one kernel vector per bond.
+
+    Bond j holds a vector in H_{r of site j} (x) H_{l of site j+1}; the
+    legs are regrouped per site and pushed through the block isometries.
+    """
+    blocks = dec.blocks
+    n = len(cycle)
+    tensor = np.array([1.0 + 0j])
+    for v in bond_vectors:
+        tensor = np.multiply.outer(tensor, v)
+    shape = []
+    for j in range(n):
+        a, b = cycle[j], cycle[(j + 1) % n]
+        shape += [blocks[a].r, blocks[b].l]
+    tensor = tensor.reshape(shape)
+    perm = []
+    for k in range(n):
+        perm += [(2 * k - 1) % (2 * n), 2 * k]
+    state = tensor.transpose(perm).reshape(-1)
+    done = 1
+    for k in range(n):
+        blk = blocks[cycle[k]]
+        cur = blk.l * blk.r
+        rest = state.size // (done * cur)
+        st = state.reshape(done, cur, rest)
+        state = np.einsum("sc,dcr->dsr", blk.isometry, st).reshape(-1)
+        done *= dec.d
+    return state
+
+
+def mps_reconstruct(tensor: np.ndarray, n: int) -> np.ndarray:
+    """Dense vector of the uniform MPS (periodic trace contraction)."""
+    part = tensor
+    for _ in range(n - 1):
+        part = np.einsum("...xy,tyz->...txz", part, tensor)
+    return np.einsum("...xx->...", part).reshape(-1)
+
 
 
 # --- closure reference for the site decomposition ---------------------------

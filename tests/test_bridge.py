@@ -26,7 +26,7 @@ from commchain.operators import (
     synthesize_local_term,
 )
 
-from conftest import dense_eqx_defect, full_pipeline, reference_solve_x
+from conftest import assemble_state, dense_eqx_defect, full_pipeline, reference_solve_x
 
 
 def test_solve_x_commuting_has_identity(ising):
@@ -230,8 +230,6 @@ def test_mps_parent_unique_ground_state():
     phi_chain = res.s_map.phi_max
     # entangled chain: bonds (r_j, l_j+1); assemble via the parent's blocks
     _, dec, bonds, _ = full_pipeline(res.p)
-    from commchain.groundspace import assemble_state
-
     st = loop_states(bonds)[0]
     base = assemble_state(dec, tuple([st.block] * n), [st.phi] * n)
     target = apply_sitewise(m.s, n, base)

@@ -1,5 +1,7 @@
 """Tests for pruning, the disentangler, the normal form, classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from commchain.canonical import (
     disentangling_unitary,
     prune_to_loops,
 )
+from commchain.decomposition import Block, SiteDecomposition
 from commchain.ed import build_chain, kernel_dim, same_subspace
-from commchain.errors import InvalidK, NotScaleInvariant
+from commchain.errors import CommchainError, InvalidK, NotScaleInvariant
 from commchain.groundspace import TransferMatrices, check_scale_invariance, degeneracy, loop_states
 from commchain.operators import LocalTerm, check_commuting, operator_schmidt
 
@@ -76,6 +79,23 @@ def test_disentangler_bell_case():
     target = np.kron(np.kron(s, s), s)[:, None]
     kb = kernel_dim(build_chain(chain.conjugated, 3))[1]
     assert same_subspace(kb, target)
+
+
+def test_disentangler_checks_refuse_a_planted_defect_of_ten_sqrt_tol():
+    eps = 10 * np.sqrt(1e-9)
+    res = mps_parent(random_injective_map(2, seed=7))
+    _, dec, bonds, _ = full_pipeline(res.p)
+    loops = loop_states(bonds)
+    disentangling_unitary(dec, loops)
+    # a loop vector of norm 1 + eps: U_a phi misses its unit target by eps
+    long = [dataclasses.replace(st, phi=(1 + eps) * st.phi) for st in loops]
+    with pytest.raises(CommchainError, match=r"misses its target by 3\.162e-04"):
+        disentangling_unitary(dec, long)
+    # a block isometry column scaled by sqrt(1 + eps): the assembled U is not unitary
+    blocks = [Block(b.l, b.r, b.isometry.copy()) for b in dec.blocks]
+    blocks[0].isometry[:, 0] *= np.sqrt(1 + eps)
+    with pytest.raises(CommchainError, match="disentangler not unitary"):
+        disentangling_unitary(SiteDecomposition(dec.d, blocks), loops)
 
 
 def test_canonical_hamiltonian_is_ising_for_k2():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from commchain import models
-from commchain._linalg import dag, op_norm
+from commchain._linalg import dag
 from commchain.canonical import Analysis
 from commchain.decomposition import (
     _center,
@@ -253,15 +253,15 @@ def test_commutant_path_matches_closure_reference(small_corpus, acceptance_corpu
 
 
 def _verify_blocks_loop(blocks, left_family, right_family, thresh):
-    """The per-(factor, block, block) check, one op_norm each: the reference."""
+    """The per-(factor, block, block) check, one Frobenius norm each: the reference."""
 
     def left_defect(m, l, r):
         stilde = np.einsum("axbx->ab", m.reshape(l, r, l, r)) / r
-        return op_norm(m - np.kron(stilde, np.eye(r)))
+        return np.linalg.norm(m - np.kron(stilde, np.eye(r)))
 
     def right_defect(m, l, r):
         ctilde = np.einsum("xaxb->ab", m.reshape(l, r, l, r)) / l
-        return op_norm(m - np.kron(np.eye(l), ctilde))
+        return np.linalg.norm(m - np.kron(np.eye(l), ctilde))
 
     for name, family, defect in (
         ("left-neighbor factors (must act on H_l)", left_family, left_defect),
@@ -275,7 +275,7 @@ def _verify_blocks_loop(blocks, left_family, right_family, thresh):
                 for j, bj in enumerate(blocks):
                     if i == j:
                         continue
-                    cross = op_norm(dag(bi.isometry) @ op @ bj.isometry)
+                    cross = np.linalg.norm(dag(bi.isometry) @ op @ bj.isometry)
                     if cross > thresh:
                         raise _Retry(f"{name}: cross-block residual {cross:.3e} at ({i},{j})")
 
@@ -311,13 +311,21 @@ def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
         _verify_blocks(dec.blocks, left, right, np.sqrt(1e-9))
         _verify_blocks_loop(dec.blocks, left, right, np.sqrt(1e-9))
         nb = len(dec.blocks)
-        mutants = [_rotated(dec.blocks, i, j, 1e-3) for i, j in ((0, 1), (nb - 1, 0)) if nb > 1]
+        # a turn of 10 sqrt(tol) is refused too: the Frobenius check is not vacuous
+        angles = (1e-3, 10 * np.sqrt(1e-9))
+        mutants = [
+            _rotated(dec.blocks, i, j, angle)
+            for i, j in ((0, 1), (nb - 1, 0))
+            if nb > 1
+            for angle in angles
+        ]
         # within a block with l, r >= 2, turning (a=0, b=0) toward (a=0, b=1)
         # breaks the tensor structure: an in-block failure
         mutants += [
-            _rotated(dec.blocks, i, i, 1e-3, cols=(0, 1))
+            _rotated(dec.blocks, i, i, angle, cols=(0, 1))
             for i, b in enumerate(dec.blocks)
             if b.l >= 2 and b.r >= 2
+            for angle in angles
         ]
         for blocks in mutants:
             # without the left family, the right family's check reports
@@ -326,6 +334,19 @@ def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
                 assert new == old, name
                 seen.add((new.split("-")[0], new.split(": ")[1].split("-")[0]))
     assert seen == {(side, kind) for side in ("left", "right") for kind in ("in", "cross")}
+
+
+def test_completeness_refuses_a_planted_defect(small_corpus):
+    thresh = np.sqrt(1e-9)
+    for m in small_corpus:
+        dec = decompose_site(operator_schmidt(m.term))
+        assert dec.completeness_defect() <= thresh, m.name
+        # one column scaled by sqrt(1 + eps): U U^dag - 1 = eps |w><w|
+        eps = 10 * thresh
+        blocks = [type(b)(b.l, b.r, b.isometry.copy()) for b in dec.blocks]
+        blocks[-1].isometry[:, 0] *= np.sqrt(1 + eps)
+        bad = type(dec)(dec.d, blocks).completeness_defect()
+        assert bad == pytest.approx(eps, rel=1e-6), m.name
 
 
 # --- canonical vertex order ---------------------------------------------------

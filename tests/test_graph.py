@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commchain import models
-from commchain._linalg import op_norm, subspace_angle_sin
+from commchain._linalg import subspace_angle_sin
 from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
 from commchain.graph import export_dot, extract_bond_projectors, reconstruct_term
@@ -101,21 +101,21 @@ def test_extract_rejects_foreign_decomposition(ising, fig2):
 
 
 def _first_bond_failure(p, dec, thresh):
-    """The per-pair loop with one op_norm per check: the reference message."""
+    """The per-pair loop with one Frobenius norm per check: the reference message."""
     for a, ba in enumerate(dec.blocks):
         for b, bb in enumerate(dec.blocks):
             w = np.kron(ba.isometry, bb.isometry)
             comp = w.conj().T @ p.op @ w
             t = comp.reshape(ba.l, ba.r, bb.l, bb.r, ba.l, ba.r, bb.l, bb.r)
             q = np.einsum("xabyxcdy->abcd", t).reshape(ba.r * bb.l, -1) / (ba.l * bb.r)
-            resid = op_norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
+            resid = np.linalg.norm(comp - np.kron(np.kron(np.eye(ba.l), q), np.eye(bb.r)))
             if resid > thresh:
                 return (
                     f"bond ({a},{b}) does not factor with identity outer slots "
                     f"(residual {resid:.3e})"
                 )
             q = (q + q.conj().T) / 2.0
-            idem = op_norm(q @ q - q)
+            idem = np.linalg.norm(q @ q - q)
             if idem > thresh:
                 return f"bond ({a},{b}) compression is not a projector (defect {idem:.3e})"
     return None
@@ -141,6 +141,36 @@ def test_extract_reports_the_first_failing_pair(small_corpus):
             assert str(exc.value).startswith("reconstruction residual"), m.name
         else:
             assert str(exc.value) == expected, m.name
+            checked += 1
+    assert checked >= 3
+
+
+def test_bond_checks_refuse_a_planted_defect_of_ten_sqrt_tol(ising, small_corpus):
+    eps = 10 * np.sqrt(1e-9)
+    # ising: two (1, 1) blocks, so every compression factors
+    _, dec, _, _ = full_pipeline(ising)
+    extract_bond_projectors(ising, dec)
+    with pytest.raises(FactorizationFailed, match="is not a projector"):
+        extract_bond_projectors(ProjectorTerm(2, (1 + eps) * ising.op), dec)
+    # a coupling between the (0, 0) and (1, 1) pairs, which no compression sees
+    v0, v1 = (np.kron(b.isometry[:, 0], b.isometry[:, 0]) for b in dec.blocks)
+    off = eps * (np.outer(v0, v1.conj()) + np.outer(v1, v0.conj())) / np.sqrt(2)
+    with pytest.raises(FactorizationFailed, match=r"reconstruction residual 3\.162e-04"):
+        extract_bond_projectors(ProjectorTerm(2, ising.op + off), dec)
+    # a traceless Z (x) 1 on pair (a, a) of a block with l >= 2: Q is unchanged
+    checked = 0
+    for m in small_corpus:
+        _, dec, _, _ = full_pipeline(m.term)
+        extract_bond_projectors(m.term, dec)
+        for a, b in enumerate(dec.blocks):
+            if b.l < 2:
+                continue
+            z = np.kron(np.diag([1.0, -1.0] + [0.0] * (b.l - 2)), np.eye(b.r * b.l * b.r))
+            w = np.kron(b.isometry, b.isometry)
+            bad = ProjectorTerm(m.d, m.term.op + eps / np.linalg.norm(z) * w @ z @ w.conj().T)
+            expected = rf"bond \({a},{a}\) does not factor .* \(residual 3\.162e-04\)"
+            with pytest.raises(FactorizationFailed, match=expected):
+                extract_bond_projectors(bad, dec)
             checked += 1
     assert checked >= 3
 
@@ -181,7 +211,7 @@ def test_bond_projectors_match_the_per_pair_reference(ising, fig2, small_corpus,
         for a, row in enumerate(reference_bond_projectors(p, dec)):
             for b, (q, kernel_dim, kernel, resid) in enumerate(row):
                 bf = bonds[a][b]
-                assert op_norm(bf.q - q) < 1e-12
+                assert np.linalg.norm(bf.q - q) < 1e-12
                 assert bf.kernel_dim == kernel_dim == g.M[a, b]
                 assert q.shape[0] - kernel_dim == g.R[a, b]
                 assert subspace_angle_sin(bf.kernel_basis, kernel) < 1e-10
@@ -195,7 +225,7 @@ def test_bond_projectors_match_the_per_pair_reference(ising, fig2, small_corpus,
         for q_blocks in (lambda a, b: bonds[a][b].q, lambda a, b: mids[a, b]):
             got = assemble_two_site(dec.block_dims, isos, q_blocks)
             ref = reference_assemble_two_site(dec.block_dims, isos, q_blocks)
-            assert op_norm(got - ref) < 1e-12 * max(op_norm(ref), 1.0)
+            assert np.linalg.norm(got - ref) < 1e-12 * max(np.linalg.norm(ref), 1.0)
 
 
 def test_extract_bond_projectors_makes_no_per_pair_kron(fig2, monkeypatch):

@@ -10,16 +10,14 @@ from commchain.ed import build_chain, integer_spectrum, kernel_dim
 from commchain.errors import TooLarge
 from commchain.groundspace import (
     TransferMatrices,
-    assemble_state,
     check_scale_invariance,
     degeneracy,
     enumerate_cycles,
     ground_states,
-    mps_reconstruct,
     spectral_census,
 )
 
-from conftest import dense_chain, full_pipeline
+from conftest import assemble_state, dense_chain, full_pipeline, mps_reconstruct
 from test_graph import fig2_block_permutation
 
 

@@ -214,6 +214,18 @@ def test_synthesize_always_commuting(small_corpus):
         m.term.validate()
 
 
+def test_validate_refuses_a_planted_defect_of_ten_projector_tol(ising, small_corpus):
+    eps = 10 * operators.PROJECTOR_TOL
+    for term in [ising] + [m.term for m in small_corpus]:
+        term.validate()
+        skew = term.op.copy()
+        skew[0, 1] += eps
+        with pytest.raises(ValueError, match="hermiticity defect 1.414e-07"):
+            ProjectorTerm(term.d, skew).validate()
+        with pytest.raises(ValueError, match=r"idempotency defect [1-9]\.\d{3}e-07"):
+            ProjectorTerm(term.d, (1 + eps) * term.op).validate()
+
+
 def test_synthesize_rejects_bad_speces():
     with pytest.raises(InvalidSpec):
         synthesize_local_term([(1, 1)], [[5]], seed=0)
