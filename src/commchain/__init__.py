@@ -21,6 +21,7 @@ from .canonical import (
 from .decomposition import SiteDecomposition, commutant, decompose_site
 from .ed import build_chain, integer_spectrum, kernel_dim, same_subspace
 from .graph import InteractionGraph, build_graph, export_dot, extract_bond_projectors
+from .models import synthesize_local_term
 from .groundspace import (
     TransferMatrices,
     check_scale_invariance,
@@ -35,7 +36,6 @@ from .operators import (
     check_commuting,
     operator_schmidt,
     projectorize,
-    synthesize_local_term,
 )
 
 __version__ = "0.1.0"

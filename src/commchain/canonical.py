@@ -31,6 +31,7 @@ from .errors import (
     InvalidK,
     NotCommuting,
     NotScaleInvariant,
+    TooLarge,
 )
 from .graph import BondFactor, InteractionGraph, build_graph, extract_bond_projectors
 from .groundspace import (
@@ -45,7 +46,6 @@ from .operators import (
     LocalTerm,
     OperatorSchmidt,
     ProjectorTerm,
-    assemble_two_site,
     check_commuting,
     operator_schmidt,
     projectorize,
@@ -53,12 +53,12 @@ from .operators import (
 
 __all__ = [
     "Analysis",
-    "DisentanglerSpec",
     "PhaseReport",
     "prune_to_loops",
     "disentangling_unitary",
     "conjugate_term",
     "canonical_hamiltonian",
+    "check_normal_form_size",
     "classify_phase",
     "CanonicalChain",
     "canonical_chain",
@@ -108,7 +108,7 @@ class Analysis:
 
     @cached_property
     def graph(self) -> InteractionGraph:
-        return build_graph(self.bonds)
+        return build_graph(self.dec, self.bonds)
 
     @cached_property
     def verdict(self) -> ScaleInvarianceVerdict:
@@ -126,14 +126,7 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
     verdict, dec, bonds = analysis.verdict, analysis.dec, analysis.bonds
     if not verdict.scale_invariant:
         raise NotScaleInvariant(f"witness: {verdict.witness.to_dict()}")
-
-    def q_blocks(a: int, b: int) -> np.ndarray:
-        bf = bonds[a][b]
-        if a == b and bf.kernel_dim >= 1:
-            return bf.q
-        return np.eye(bf.q.shape[0], dtype=complex)
-
-    op = assemble_two_site(dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
+    op = dec.assemble({(a, a): bonds[a][a].q for a in verdict.loops})
     pruned = ProjectorTerm(dec.d, (op + la.dag(op)) / 2.0)
     pruned.validate()
     chk = check_commuting(operator_schmidt(pruned, analysis.tol), np.sqrt(analysis.tol))
@@ -145,54 +138,22 @@ def prune_to_loops(analysis: Analysis) -> ProjectorTerm:
     return pruned
 
 
-@dataclass
-class DisentanglerSpec:
-    """Block-diagonal two-site unitary sending loop states to products."""
-
-    refs: dict[int, tuple[np.ndarray, np.ndarray]]  # loop block -> (xi_r, xi_l), in loop order
-    u: np.ndarray  # unitary on C^{d^2}
-
-
 def disentangling_unitary(
     dec: SiteDecomposition, loops: list[GroundLoopState], tol: float = DEFAULT_TOL
-) -> DisentanglerSpec:
-    """Unitary acting as U_a on each loop bond block, identity elsewhere.
+) -> np.ndarray:
+    """Unitary on C^{d^2} acting as U_a on each loop bond block, identity elsewhere.
 
-    U_a maps the loop kernel vector to xi_r (x) xi_l, the first standard
-    basis vector of each factor.  The assembled operator is block-diagonal
-    for the four-index two-site decomposition, hence conjugation preserves
-    commutativity.
+    U_a = [phi, completion]^dag maps the loop kernel vector phi to the
+    first basis vector of H_{a_r} (x) H_{a_l}, i.e. xi_r (x) xi_l for the
+    first standard basis vector of each factor.  The assembled operator is
+    block-diagonal for the four-index two-site decomposition, hence
+    conjugation preserves commutativity.
     """
-    chosen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    small_us: dict[int, np.ndarray] = {}
-    for st in loops:
-        blk = dec.blocks[st.block]
-        xi_r = np.zeros(blk.r, dtype=complex)
-        xi_r[0] = 1.0
-        xi_l = np.zeros(blk.l, dtype=complex)
-        xi_l[0] = 1.0
-        target = np.kron(xi_r, xi_l)
-        b1 = la.complete_orthonormal(st.phi)
-        b2 = la.complete_orthonormal(target)
-        u_a = b2 @ la.dag(b1)
-        defect = np.linalg.norm(u_a @ st.phi - target)
-        if defect > np.sqrt(tol):
-            raise CommchainError(f"loop unitary misses its target by {defect:.3e}")
-        chosen[st.block] = (xi_r, xi_l)
-        small_us[st.block] = u_a
-
-    def q_blocks(a: int, b: int) -> np.ndarray:
-        ra = dec.blocks[a].r
-        lb = dec.blocks[b].l
-        if a == b and a in small_us:
-            return small_us[a]
-        return np.eye(ra * lb, dtype=complex)
-
-    u = assemble_two_site(dec.block_dims, [b.isometry for b in dec.blocks], q_blocks)
+    u = dec.assemble({(s.block, s.block): la.dag(la.complete_orthonormal(s.phi)) for s in loops})
     unit_defect = np.linalg.norm(u @ la.dag(u) - np.eye(dec.d**2))
     if unit_defect > np.sqrt(tol):
         raise CommchainError(f"disentangler not unitary (defect {unit_defect:.3e})")
-    return DisentanglerSpec(refs=chosen, u=u)
+    return u
 
 
 def conjugate_term(p: ProjectorTerm, u: np.ndarray) -> ProjectorTerm:
@@ -202,10 +163,25 @@ def conjugate_term(p: ProjectorTerm, u: np.ndarray) -> ProjectorTerm:
     return out
 
 
+# The normal form is a dense d^2 x d^2 matrix; past this many entries
+# (d > 45) it is refused.  Inputs up to d = 36 still classify.
+MAX_NORMAL_FORM_ENTRIES = 1 << 22
+
+
+def check_normal_form_size(d: int) -> None:
+    """Raise ``TooLarge`` when the d^2 x d^2 normal form has too many entries."""
+    if d**4 > MAX_NORMAL_FORM_ENTRIES:
+        raise TooLarge(
+            f"normal form at d={d} has d^4 = {d**4} entries, "
+            f"past the limit {MAX_NORMAL_FORM_ENTRIES}"
+        )
+
+
 def canonical_hamiltonian(k: int, d: int) -> ProjectorTerm:
     """Normal form 1 (x) 1 - sum_{a<k} |aa><aa| for degeneracy k."""
     if not (1 <= k <= d):
         raise InvalidK(f"need 1 <= k <= d, got k={k}, d={d}")
+    check_normal_form_size(d)
     op = np.eye(d * d, dtype=complex)
     for a in range(k):
         idx = a * d + a
@@ -313,9 +289,8 @@ class CanonicalChain:
     """All stages of the canonicalization pipeline for one input."""
 
     dec: SiteDecomposition
-    bonds: list[list[BondFactor]]
     pruned: ProjectorTerm
-    disentangler: DisentanglerSpec
+    disentangler: np.ndarray  # unitary on C^{d^2}
     conjugated: ProjectorTerm
     k: int
     canonical: ProjectorTerm | None
@@ -326,28 +301,33 @@ def canonical_chain(analysis: Analysis) -> CanonicalChain:
     """prune -> disentangle -> normal form, with the loop site states.
 
     After conjugation the chain ground space is spanned by the product
-    states s_a^(x N) with s_a = W_a (xi_l (x) xi_r); these site states are
-    returned so callers can verify the kernel identity.
+    states s_a^(x N) with s_a = W_a (xi_l (x) xi_r), the first column of
+    W_a.  Each s_a (x) s_a must lie in the kernel of the conjugated term;
+    past ``sqrt(tol)`` the disentangler is refused.
     """
     pruned = prune_to_loops(analysis)
     dec, bonds, loops = analysis.dec, analysis.bonds, analysis.verdict.loops
     for a in loops:
         if bonds[a][a].kernel_dim != 1:
             raise DegenerateLoopKernel(f"loop {a} has kernel dimension {bonds[a][a].kernel_dim}")
-    disent = disentangling_unitary(dec, loop_states(bonds), analysis.tol)
-    conjugated = conjugate_term(pruned, disent.u)
+    u = disentangling_unitary(dec, loop_states(bonds), analysis.tol)
+    conjugated = conjugate_term(pruned, u)
+    # + 0.0 writes a -0.0 entry as 0.0, as the product W_a (xi_l (x) xi_r) does.
+    site_states = [dec.blocks[a].isometry[:, 0] + 0.0 for a in loops]
+    for a, s in zip(loops, site_states):
+        defect = np.linalg.norm(conjugated.op @ np.kron(s, s))
+        if defect > np.sqrt(analysis.tol):
+            raise CommchainError(
+                f"site state of loop {a} is not a ground state of the disentangled term "
+                f"(||P (s x s)|| = {defect:.3e})"
+            )
     k = len(loops)
-    canonical = canonical_hamiltonian(k, dec.d) if k >= 1 else None
-    site_states = []
-    for a, (xi_r, xi_l) in disent.refs.items():
-        site_states.append(dec.blocks[a].isometry @ np.kron(xi_l, xi_r))
     return CanonicalChain(
         dec=dec,
-        bonds=bonds,
         pruned=pruned,
-        disentangler=disent,
+        disentangler=u,
         conjugated=conjugated,
         k=k,
-        canonical=canonical,
+        canonical=canonical_hamiltonian(k, dec.d) if k >= 1 else None,
         site_states=site_states,
     )

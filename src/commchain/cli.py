@@ -34,11 +34,18 @@ import numpy as np
 from . import bridge as bridge_mod
 from . import models
 from ._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
-from .canonical import Analysis, canonical_chain, canonical_hamiltonian, classify_phase
+from .canonical import (
+    MAX_NORMAL_FORM_ENTRIES,
+    Analysis,
+    canonical_chain,
+    canonical_hamiltonian,
+    classify_phase,
+)
 from .ed import build_chain, integer_spectrum
 from .errors import CommchainError, NotCommuting, NotScaleInvariant, TooLarge
 from .graph import export_dot
 from .groundspace import (
+    DEFAULT_STATE_CAP,
     TransferMatrices,
     check_census_size,
     check_ground_size,
@@ -318,7 +325,7 @@ def cmd_canonical(args) -> int:
         "k": chain.k,
         "canonical_rep": chain.canonical.to_dict() if chain.canonical else None,
         "pruned": chain.pruned.to_dict(),
-        "disentangler": complex_to_json(chain.disentangler.u),
+        "disentangler": complex_to_json(chain.disentangler),
         "site_states": [complex_to_json(v) for v in chain.site_states],
         "seed": args.seed,
         "tol": args.tol,
@@ -461,7 +468,9 @@ def _add_ground(subs) -> None:
     )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 4")
-    sp.add_argument("--cap", type=_count, default=10_000, help="most states per chain length")
+    sp.add_argument(
+        "--cap", type=_count, default=DEFAULT_STATE_CAP, help="most states per chain length"
+    )
     sp.set_defaults(func=cmd_ground)
 
 
@@ -469,7 +478,11 @@ def _add_canonical(subs) -> None:
     sp = subs.add_parser("canonical", help="canonicalization pipeline / normal form")
     _add_common(sp)
     sp.add_argument("--k", type=int, help="emit the normal form for degeneracy k")
-    sp.add_argument("--d", type=int, help="site dimension for --k")
+    sp.add_argument(
+        "--d",
+        type=int,
+        help=f"site dimension for --k (bounded: d^4 <= {MAX_NORMAL_FORM_ENTRIES}, so d <= 45)",
+    )
     sp.set_defaults(func=cmd_canonical)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DecompositionFailed
-from .operators import DEFAULT_TOL, OperatorSchmidt
+from .operators import DEFAULT_TOL, OperatorSchmidt, identity_slots
 
 MAX_RESEEDS = 8
 
@@ -125,11 +125,20 @@ def _center(alg: OperatorAlgebra, rng: np.random.Generator, tol: float) -> Opera
 class Block:
     l: int
     r: int
-    isometry: np.ndarray  # d x (l*r), orthonormal columns, col index a*r + b
+    isometry: np.ndarray  # d x (l*r), orthonormal columns
 
 
 @dataclass
 class SiteDecomposition:
+    """C^d = sum_a H_{a_l} (x) H_{a_r}, one ``Block`` per summand.
+
+    The block basis is U = [W_0 ... W_n] (``u``): block a holds the columns
+    ``offsets[a]`` to ``offsets[a + 1]``, and inside a block column i*r + j
+    is |i> (x) |j> of H_l (x) H_r.  On two sites, in the basis U (x) U, every
+    bond acts as 1_l (x) Q_ab (x) 1_r; ``assemble`` is the one place that
+    builds a two-site operator from such blocks.
+    """
+
     d: int
     blocks: list[Block]
 
@@ -137,9 +146,35 @@ class SiteDecomposition:
     def block_dims(self) -> list[tuple[int, int]]:
         return [(b.l, b.r) for b in self.blocks]
 
+    @property
+    def u(self) -> np.ndarray:
+        return np.hstack([b.isometry for b in self.blocks])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum([0] + [b.l * b.r for b in self.blocks])
+
     def completeness_defect(self) -> float:
-        u = np.hstack([b.isometry for b in self.blocks])
+        u = self.u
         return float(np.linalg.norm(u @ la.dag(u) - np.eye(self.d)))
+
+    def assemble(self, ops: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+        """sum_ab (W_a x W_b)(1_l x O_ab x 1_r)(W_a x W_b)^dag, O_ab = ``ops[a, b]``.
+
+        A pair missing from ``ops`` acts as the identity.  Every
+        1_l x O_ab x 1_r is placed in the block basis, and the sum is
+        conjugated back once by U x U.
+        """
+        u, offs, dims = self.u, self.offsets, self.block_dims
+        dim = u.shape[1]
+        mid = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+        for (a, b), op in ops.items():
+            (la_, ra), (lb, rb) = dims[a], dims[b]
+            sa, sb = slice(offs[a], offs[a + 1]), slice(offs[b], offs[b + 1])
+            block = identity_slots(la_, op, rb)
+            mid[sa, sb, sa, sb] = block.reshape(la_ * ra, lb * rb, la_ * ra, lb * rb)
+        uu = np.kron(u, u)
+        return uu @ mid.reshape(dim * dim, dim * dim) @ la.dag(uu)
 
 
 class _Retry(Exception):
@@ -147,7 +182,7 @@ class _Retry(Exception):
 
 
 def _verify_blocks(
-    blocks: list[Block],
+    dec: SiteDecomposition,
     left_family: np.ndarray,
     right_family: np.ndarray,
     thresh: float,
@@ -168,10 +203,9 @@ def _verify_blocks(
         "right-neighbor factors (must act on H_r)",
     )
     nl = len(left_family)
-    u = np.hstack([b.isometry for b in blocks])
+    u, offs = dec.u, dec.offsets
     t = la.dag(u) @ np.concatenate([left_family, right_family]) @ u
-    offs = np.cumsum([0] + [b.l * b.r for b in blocks])
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(dec.blocks):
         s = slice(offs[i], offs[i + 1])
         t5 = t[:, s, s].reshape(-1, b.l, b.r, b.l, b.r)
         near_left = np.einsum("kaxbx,yz->kaybz", t5[:nl], np.eye(b.r)) / b.r
@@ -275,8 +309,8 @@ def decompose_site(
                 _factor_block(vecs[:, c], left_family, rng, tol) for c in clusters
             ]
             blocks.sort(key=_vertex_key)
-            _verify_blocks(blocks, left_family, right_family, thresh)
             dec = SiteDecomposition(d=d, blocks=blocks)
+            _verify_blocks(dec, left_family, right_family, thresh)
             if dec.completeness_defect() > thresh:
                 raise _Retry("isometries do not resolve the identity")
             return dec

@@ -2,9 +2,10 @@
 
 For every ordered pair of blocks (a, b) the two-site projector compresses
 to 1_{l_a} (x) Q (x) 1_{r_b} with Q a projector on H_{a_r} (x) H_{b_l}.
-The graph has one vertex per block and an edge a -> b whenever Q has a
-nontrivial kernel; kernel dimensions and ranks are collected in the
-integer transfer matrices M and R.
+The compression and its inverse both work in the block basis of
+``SiteDecomposition``.  The graph has one vertex per block and an edge
+a -> b whenever Q has a nontrivial kernel; kernel dimensions and ranks are
+collected in the integer transfer matrices M and R.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import numpy as np
 from . import _linalg as la
 from .decomposition import SiteDecomposition
 from .errors import FactorizationFailed
-from .operators import (
-    DEFAULT_TOL,
-    ProjectorTerm,
-    _block_offsets,
-    assemble_two_site,
-    identity_slots,
-)
+from .operators import DEFAULT_TOL, ProjectorTerm, identity_slots
 
 __all__ = [
     "BondFactor",
@@ -38,10 +33,6 @@ __all__ = [
 class BondFactor:
     """Projector Q acting on H_{a_r} (x) H_{b_l} for blocks a -> b."""
 
-    from_block: int
-    to_block: int
-    r_from: int  # dim H_{a_r}
-    l_to: int  # dim H_{b_l}
     q: np.ndarray
     kernel_dim: int
     kernel_basis: np.ndarray  # orthonormal columns spanning ker q
@@ -73,13 +64,12 @@ def extract_bond_projectors(
     """
     thresh = np.sqrt(tol)
     blocks = dec.blocks
-    # Compress once onto U x U, U = [W_0 ... W_n]: the slice of block pair
-    # (a, b) is exactly (W_a x W_b)^dag P (W_a x W_b).
-    u = np.hstack([blk.isometry for blk in blocks])
+    # Compress once onto U x U: the slice of block pair (a, b) is exactly
+    # (W_a x W_b)^dag P (W_a x W_b).
+    u, offs = dec.u, dec.offsets
     uu = np.kron(u, u)
     dim = u.shape[1]
     full = (la.dag(uu) @ p.op @ uu).reshape(dim, dim, dim, dim)
-    offs = _block_offsets(dec.block_dims)
     bonds: list[list[BondFactor]] = []
     for a, ba in enumerate(blocks):
         sa = slice(offs[a], offs[a + 1])
@@ -107,17 +97,7 @@ def extract_bond_projectors(
             # Projector spectrum is {0,1}; threshold at 1/2 is robust.
             w_eig, v_eig = np.linalg.eigh(q)
             kernel = v_eig[:, w_eig < 0.5]
-            row.append(
-                BondFactor(
-                    from_block=a,
-                    to_block=b,
-                    r_from=ba.r,
-                    l_to=bb.l,
-                    q=q,
-                    kernel_dim=kernel.shape[1],
-                    kernel_basis=kernel,
-                )
-            )
+            row.append(BondFactor(q=q, kernel_dim=kernel.shape[1], kernel_basis=kernel))
         bonds.append(row)
     resid = np.linalg.norm(reconstruct_term(dec, bonds) - p.op)
     if resid > thresh:
@@ -127,22 +107,13 @@ def extract_bond_projectors(
 
 def reconstruct_term(dec: SiteDecomposition, bonds: list[list[BondFactor]]) -> np.ndarray:
     """Rebuild the two-site operator from the block data (inverse of extraction)."""
-    return assemble_two_site(
-        dec.block_dims, [b.isometry for b in dec.blocks], lambda a, b: bonds[a][b].q
-    )
+    return dec.assemble({(a, b): bf.q for a, row in enumerate(bonds) for b, bf in enumerate(row)})
 
 
-def build_graph(bonds: list[list[BondFactor]]) -> InteractionGraph:
-    nv = len(bonds)
-    m = np.zeros((nv, nv), dtype=int)
-    r = np.zeros((nv, nv), dtype=int)
-    for a in range(nv):
-        for b in range(nv):
-            bf = bonds[a][b]
-            m[a, b] = bf.kernel_dim
-            r[a, b] = bf.q.shape[0] - bf.kernel_dim
-    block_dims = [(bonds[0][a].l_to, bonds[a][0].r_from) for a in range(nv)]
-    return InteractionGraph(num_vertices=nv, M=m, R=r, block_dims=block_dims)
+def build_graph(dec: SiteDecomposition, bonds: list[list[BondFactor]]) -> InteractionGraph:
+    m = np.array([[bf.kernel_dim for bf in row] for row in bonds], dtype=int)
+    r = np.array([[bf.q.shape[0] for bf in row] for row in bonds], dtype=int) - m
+    return InteractionGraph(num_vertices=len(bonds), M=m, R=r, block_dims=dec.block_dims)
 
 
 def export_dot(g: InteractionGraph) -> str:

@@ -19,6 +19,7 @@ test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .decomposition import SiteDecomposition
 from .errors import TooLarge
 from .graph import BondFactor, InteractionGraph
 
-DEFAULT_CYCLE_CAP = 10_000
+# Most closed walks, and most ground states, one chain length lists.
 DEFAULT_STATE_CAP = 10_000
 
 # The census refuses a chain whose evaluation stack, primes x L x nv^2
@@ -132,7 +133,7 @@ def _capped_degeneracy(t: TransferMatrices, n: int, ceiling: int) -> int:
 
 
 def enumerate_cycles(
-    g: InteractionGraph, n: int, cap: int = DEFAULT_CYCLE_CAP
+    g: InteractionGraph, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> tuple[list[tuple[int, ...]], bool]:
     """All ordered closed walks of length ``n`` (rotations counted as distinct).
 
@@ -374,51 +375,32 @@ def ground_states(analysis, n: int, cap: int = DEFAULT_STATE_CAP) -> GroundState
         raise ValueError("chain length must be at least 2")
     check_ground_size(analysis, [n], cap)
     dec, bonds = analysis.dec, analysis.bonds
-    states: list[GroundState] = []
     if verdict.scale_invariant:
         loops = loop_states(bonds)
         chi = max((dec.blocks[s.block].r * dec.blocks[s.block].l for s in loops), default=1)
-        for s in loops:
-            states.append(
-                GroundState(
-                    cycle=tuple([s.block] * n),
-                    bond_vectors=[s.phi] * n,
-                    mps_bond_dim=chi,
-                    mps_tensor=loop_mps_tensor(dec, s, chi),
-                )
+        states = [
+            GroundState(
+                cycle=tuple([s.block] * n),
+                bond_vectors=[s.phi] * n,
+                mps_bond_dim=chi,
+                mps_tensor=loop_mps_tensor(dec, s, chi),
             )
+            for s in loops
+        ]
         return GroundStateList(N=n, states=states, truncated=False)
 
     cycles, enum_truncated = enumerate_cycles(analysis.graph, n, cap)
-    cap_hit = False
-    for cyc in cycles:
-        if len(states) >= cap:
-            cap_hit = True
-            break
-        edges = [(cyc[j], cyc[(j + 1) % n]) for j in range(n)]
-        choices = [range(bonds[a][b].kernel_dim) for a, b in edges]
-        idx = [0] * n
-        while True:
-            if len(states) >= cap:
-                cap_hit = True
-                break
-            vecs = [
-                _phase_fix(bonds[a][b].kernel_basis[:, idx[j]])
-                for j, (a, b) in enumerate(edges)
-            ]
-            states.append(GroundState(cycle=cyc, bond_vectors=vecs))
-            pos = n - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < len(choices[pos]):
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-        if cap_hit:
-            break
-    return GroundStateList(N=n, states=states, truncated=enum_truncated or cap_hit)
+
+    def walk_states(cyc):
+        # One kernel-basis vector per bond of the closed walk, in every combination.
+        kernels = [bonds[a][b].kernel_basis.T for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        for vecs in itertools.product(*[[_phase_fix(v) for v in k] for k in kernels]):
+            yield GroundState(cycle=cyc, bond_vectors=list(vecs))
+
+    walks = itertools.chain.from_iterable(map(walk_states, cycles))
+    states = list(itertools.islice(walks, cap + 1))
+    truncated = enum_truncated or len(states) > cap
+    return GroundStateList(N=n, states=states[:cap], truncated=truncated)
 
 
 @dataclass

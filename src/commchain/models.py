@@ -1,4 +1,8 @@
-"""Builtin two-site models used by the CLI and the test corpus."""
+"""Builtin two-site models used by the CLI, and the synthesizer of the test corpus.
+
+``synthesize_local_term`` builds random commuting projectors with a
+prescribed block and graph structure.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,9 @@ import re
 
 import numpy as np
 
+from . import _linalg as la
+from .decomposition import Block, SiteDecomposition
+from .errors import InvalidSpec
 from .operators import ProjectorTerm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,3 +55,52 @@ def builtin(name: str) -> ProjectorTerm:
     if m:
         return zero(int(m.group(1)) if m.group(1) else 2)
     raise KeyError(f"unknown builtin model {name!r} (try ising, fig2, zero(d))")
+
+
+def synthesize_local_term(
+    block_spec: list[tuple[int, int]],
+    edge_kernel_dims,
+    seed: int = 0,
+) -> ProjectorTerm:
+    """Random commuting projector with prescribed blocks and kernel dims.
+
+    ``block_spec`` lists (l, r) dimensions per block with sum(l*r) = d;
+    ``edge_kernel_dims[a][b]`` is the kernel dimension of the bond
+    projector from block a to block b.  All randomness (basis rotation and
+    kernel subspaces) flows from ``seed``.
+    """
+    block_spec = [(int(l), int(r)) for l, r in block_spec]
+    kdims = np.asarray(edge_kernel_dims, dtype=int)
+    nb = len(block_spec)
+    if kdims.shape != (nb, nb):
+        raise InvalidSpec(f"kernel dim matrix must be {nb}x{nb}")
+    if any(l < 1 or r < 1 for l, r in block_spec):
+        raise InvalidSpec("block dimensions must be positive")
+    d = sum(l * r for l, r in block_spec)
+    for a, (_, ra) in enumerate(block_spec):
+        for b, (lb, _) in enumerate(block_spec):
+            if not (0 <= kdims[a, b] <= ra * lb):
+                raise InvalidSpec(
+                    f"kernel dim {kdims[a, b]} out of range for bond ({a},{b})"
+                )
+    rng = np.random.default_rng(seed)
+    # The blocks take consecutive columns of one Haar unitary.
+    rest = la.haar_unitary(d, rng)
+    blocks = []
+    for l, r in block_spec:
+        blocks.append(Block(l, r, rest[:, : l * r]))
+        rest = rest[:, l * r :]
+
+    qs = {}
+    for a, (_, ra) in enumerate(block_spec):
+        for b, (lb, _) in enumerate(block_spec):
+            m = ra * lb
+            k = int(kdims[a, b])
+            u = la.haar_unitary(m, rng)
+            kern = u[:, :k]
+            qs[a, b] = np.eye(m) - kern @ la.dag(kern)
+
+    op = SiteDecomposition(d, blocks).assemble(qs)
+    term = ProjectorTerm(d, (op + la.dag(op)) / 2.0)
+    term.validate()
+    return term

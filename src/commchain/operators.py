@@ -3,9 +3,8 @@
 A translation-invariant chain is defined by a single hermitian operator on
 two adjacent sites of local dimension d.  This module turns such a term
 into a projector, computes its operator Schmidt decomposition across the
-two-site cut, h = sum_k s_k A_k (x) B_k with hermitian factors, tests
-whether the resulting chain is commuting, and synthesizes random
-commuting projectors with a prescribed block/graph structure for testing.
+two-site cut, h = sum_k s_k A_k (x) B_k with hermitian factors, and tests
+whether the resulting chain is commuting.
 
 One factorization, ``operator_schmidt``, feeds everything read from the
 factors: the commutator gate, the site decomposition (which reads the
@@ -26,8 +25,9 @@ bounds every identity a constructed object must meet: ``projectorize``'s
 negative-eigenvalue margin, the Schmidt coefficients' imaginary part
 (times max(||p||_F, 1)), the site blocks and their completeness, bond
 factoring, idempotency and reconstruction, the commutator residual of the
-pruned and of the commutified term, and the disentangler's target and
-unitarity.  Thresholds that do not scale with ``tol`` are named constants.
+pruned and of the commutified term, the disentangler's unitarity, and
+||P (s x s)||_F for every loop site state s of the disentangled term P.
+Thresholds that do not scale with ``tol`` are named constants.
 Every matrix defect a threshold bounds (hermiticity, idempotency,
 factoring, completeness, reconstruction, unitarity; ``PROJECTOR_TOL``'s
 too) is a Frobenius norm, O(n^2) with no SVD: as ||A||_2 <= ||A||_F, a
@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .errors import InvalidSpec, NotHermitian, NotPSD
+from .errors import NotHermitian, NotPSD
 
 DEFAULT_TOL = 1e-9
 
@@ -244,13 +244,6 @@ def operator_schmidt(p: LocalTerm, tol: float = DEFAULT_TOL) -> OperatorSchmidt:
     return OperatorSchmidt(d=d, s=s[:keep], coords=(o[:, :keep].T, qt[:keep]))
 
 
-def _block_offsets(block_spec: list[tuple[int, int]]) -> list[int]:
-    offs = [0]
-    for l, r in block_spec:
-        offs.append(offs[-1] + l * r)
-    return offs
-
-
 def identity_slots(l: int, q: np.ndarray, r: int) -> np.ndarray:
     """1_l (x) q (x) 1_r, by broadcasting."""
     m = q.shape[0]
@@ -260,74 +253,3 @@ def identity_slots(l: int, q: np.ndarray, r: int) -> np.ndarray:
         * np.eye(r)[None, None, :, None, None, :]
     )
     return out.reshape(l * m * r, l * m * r)
-
-
-def assemble_two_site(
-    block_spec: list[tuple[int, int]],
-    isometries: list[np.ndarray],
-    q_blocks,
-) -> np.ndarray:
-    """Assemble sum_{a,b} (W_a x W_b)(1_l x O_ab x 1_r)(W_a x W_b)^dag.
-
-    ``q_blocks(a, b)`` supplies the middle operator on H_{a_r} (x) H_{b_l};
-    the same plumbing builds projectors and block-diagonal unitaries.
-    Every 1_l x O_ab x 1_r is placed in the block basis of
-    U = [W_0 ... W_n], and the sum is conjugated back once by U x U.
-    """
-    offs = _block_offsets(block_spec)
-    dim = offs[-1]
-    mid = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for a, (la_, ra) in enumerate(block_spec):
-        sa = slice(offs[a], offs[a + 1])
-        for b, (lb, rb) in enumerate(block_spec):
-            sb = slice(offs[b], offs[b + 1])
-            block = identity_slots(la_, q_blocks(a, b), rb)
-            mid[sa, sb, sa, sb] = block.reshape(la_ * ra, lb * rb, la_ * ra, lb * rb)
-    w = np.kron(np.hstack(isometries), np.hstack(isometries))
-    return w @ mid.reshape(dim * dim, dim * dim) @ la.dag(w)
-
-
-def synthesize_local_term(
-    block_spec: list[tuple[int, int]],
-    edge_kernel_dims,
-    seed: int = 0,
-) -> ProjectorTerm:
-    """Random commuting projector with prescribed blocks and kernel dims.
-
-    ``block_spec`` lists (l, r) dimensions per block with sum(l*r) = d;
-    ``edge_kernel_dims[a][b]`` is the kernel dimension of the bond
-    projector from block a to block b.  All randomness (basis rotation and
-    kernel subspaces) flows from ``seed``.
-    """
-    block_spec = [(int(l), int(r)) for l, r in block_spec]
-    kdims = np.asarray(edge_kernel_dims, dtype=int)
-    nb = len(block_spec)
-    if kdims.shape != (nb, nb):
-        raise InvalidSpec(f"kernel dim matrix must be {nb}x{nb}")
-    if any(l < 1 or r < 1 for l, r in block_spec):
-        raise InvalidSpec("block dimensions must be positive")
-    d = sum(l * r for l, r in block_spec)
-    for a, (_, ra) in enumerate(block_spec):
-        for b, (lb, _) in enumerate(block_spec):
-            if not (0 <= kdims[a, b] <= ra * lb):
-                raise InvalidSpec(
-                    f"kernel dim {kdims[a, b]} out of range for bond ({a},{b})"
-                )
-    rng = np.random.default_rng(seed)
-    big = la.haar_unitary(d, rng)
-    offs = _block_offsets(block_spec)
-    isos = [big[:, offs[i] : offs[i + 1]] for i in range(nb)]
-
-    qs = {}
-    for a, (_, ra) in enumerate(block_spec):
-        for b, (lb, _) in enumerate(block_spec):
-            m = ra * lb
-            k = int(kdims[a, b])
-            u = la.haar_unitary(m, rng)
-            kern = u[:, :k]
-            qs[a, b] = np.eye(m) - kern @ la.dag(kern)
-
-    op = assemble_two_site(block_spec, isos, lambda a, b: qs[a, b])
-    term = ProjectorTerm(d, (op + la.dag(op)) / 2.0)
-    term.validate()
-    return term

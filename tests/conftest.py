@@ -189,7 +189,7 @@ def reference_census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
 
 
 def reference_assemble_two_site(block_spec, isometries, q_blocks) -> np.ndarray:
-    """Reference ``operators.assemble_two_site``: each pair's kron and conjugation in turn."""
+    """Reference ``SiteDecomposition.assemble``: each pair's kron and conjugation in turn."""
     d = isometries[0].shape[0]
     out = np.zeros((d * d, d * d), dtype=complex)
     for a, (la_, _) in enumerate(block_spec):

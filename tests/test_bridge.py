@@ -19,12 +19,8 @@ from commchain.bridge import (
 from commchain.ed import apply_sitewise, build_chain, kernel_dim
 from commchain.errors import CommutificationFailed, SingularS
 from commchain.groundspace import loop_states, loop_mps_tensor
-from commchain.operators import (
-    LocalTerm,
-    commutator_residual,
-    operator_schmidt,
-    synthesize_local_term,
-)
+from commchain.models import synthesize_local_term
+from commchain.operators import LocalTerm, commutator_residual, operator_schmidt
 
 from conftest import assemble_state, dense_eqx_defect, full_pipeline, reference_solve_x
 

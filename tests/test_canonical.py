@@ -1,17 +1,16 @@
 """Tests for pruning, the disentangler, the normal form, classification."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import commchain as cc
-from commchain import models
+from commchain import canonical, models
 from commchain.bridge import mps_parent, random_injective_map
 from commchain.canonical import (
     Analysis,
     canonical_chain,
     canonical_hamiltonian,
+    check_normal_form_size,
     classify_phase,
     conjugate_term,
     disentangling_unitary,
@@ -19,7 +18,7 @@ from commchain.canonical import (
 )
 from commchain.decomposition import Block, SiteDecomposition
 from commchain.ed import build_chain, kernel_dim, same_subspace
-from commchain.errors import CommchainError, InvalidK, NotScaleInvariant
+from commchain.errors import CommchainError, InvalidK, NotScaleInvariant, TooLarge
 from commchain.groundspace import TransferMatrices, check_scale_invariance, degeneracy, loop_states
 from commchain.operators import LocalTerm, check_commuting, operator_schmidt
 
@@ -59,8 +58,8 @@ def test_prune_requires_scale_invariance(fig2):
 
 def test_disentangler_identity_for_product_loops(ising):
     _, dec, bonds, _ = full_pipeline(ising)
-    spec = disentangling_unitary(dec, loop_states(bonds))
-    assert np.linalg.norm(spec.u - np.eye(4)) < 1e-10
+    u = disentangling_unitary(dec, loop_states(bonds))
+    assert np.linalg.norm(u - np.eye(4)) < 1e-10
 
 
 def test_disentangler_bell_case():
@@ -68,10 +67,10 @@ def test_disentangler_bell_case():
     _, dec, bonds, _ = full_pipeline(res.p)
     loops = loop_states(bonds)
     assert len(loops) == 1
-    spec = disentangling_unitary(dec, loops)
+    u = disentangling_unitary(dec, loops)
     d2 = res.p.d ** 2
-    assert np.linalg.norm(spec.u @ spec.u.conj().T - np.eye(d2)) < 1e-10
-    conj = conjugate_term(res.p, spec.u)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(d2)) < 1e-10
+    conj = conjugate_term(res.p, u)
     assert check_commuting(operator_schmidt(conj)).commuting
     # the conjugated chain has the product ground state
     chain = canonical_chain(Analysis(res.p))
@@ -87,10 +86,6 @@ def test_disentangler_checks_refuse_a_planted_defect_of_ten_sqrt_tol():
     _, dec, bonds, _ = full_pipeline(res.p)
     loops = loop_states(bonds)
     disentangling_unitary(dec, loops)
-    # a loop vector of norm 1 + eps: U_a phi misses its unit target by eps
-    long = [dataclasses.replace(st, phi=(1 + eps) * st.phi) for st in loops]
-    with pytest.raises(CommchainError, match=r"misses its target by 3\.162e-04"):
-        disentangling_unitary(dec, long)
     # a block isometry column scaled by sqrt(1 + eps): the assembled U is not unitary
     blocks = [Block(b.l, b.r, b.isometry.copy()) for b in dec.blocks]
     blocks[0].isometry[:, 0] *= np.sqrt(1 + eps)
@@ -122,6 +117,15 @@ def test_canonical_hamiltonian_invalid_k():
         canonical_hamiltonian(0, 2)
     with pytest.raises(InvalidK):
         canonical_hamiltonian(3, 2)
+
+
+def test_normal_form_bound_sits_between_d_45_and_46():
+    assert canonical.MAX_NORMAL_FORM_ENTRIES == 1 << 22
+    check_normal_form_size(45)
+    with pytest.raises(TooLarge, match="d=46"):
+        check_normal_form_size(46)
+    with pytest.raises(TooLarge, match="d=46"):
+        canonical_hamiltonian(1, 46)
 
 
 def test_classify_ising(ising):
@@ -157,6 +161,31 @@ def test_classify_non_commuting():
     assert rep.exit_code() == 2
 
 
+def test_site_state_check_refuses_a_wrong_site_state(monkeypatch):
+    # Every loop site state s = W_a[:, 0] must satisfy P (s x s) = 0 for the
+    # disentangled term P.  A disentangler that sends the loop vector to the
+    # second basis vector of its block instead of the first makes W_a[:, 0]
+    # the wrong state: ||P (s x s)|| reads 1.
+    res = mps_parent(random_injective_map(2, seed=7))
+    chain = canonical_chain(Analysis(res.p))
+    assert chain.k == 1
+    for s in chain.site_states:
+        assert np.linalg.norm(chain.conjugated.op @ np.kron(s, s)) < 1e-12
+    real = canonical.disentangling_unitary
+
+    def second_vector(dec, loops, tol):
+        swaps = {}
+        for st in loops:
+            n = len(st.phi)
+            assert n >= 2
+            swaps[st.block, st.block] = np.eye(n)[[1, 0, *range(2, n)]]
+        return dec.assemble(swaps) @ real(dec, loops, tol)
+
+    monkeypatch.setattr(canonical, "disentangling_unitary", second_vector)
+    with pytest.raises(CommchainError, match=r"site state of loop \d+ .* = 1\.000e\+00"):
+        canonical_chain(Analysis(res.p))
+
+
 def test_classify_non_hermitian_input():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
@@ -180,17 +209,16 @@ def test_conjugation_preserves_commutativity_and_graph(small_corpus):
         assert check_commuting(operator_schmidt(chain.conjugated)).commuting
         bonds_pruned = extract_bond_projectors(chain.pruned, chain.dec)
         bonds_conj = extract_bond_projectors(chain.conjugated, chain.dec)
-        g_pruned = build_graph(bonds_pruned)
-        g_conj = build_graph(bonds_conj)
+        g_pruned = build_graph(chain.dec, bonds_pruned)
+        g_conj = build_graph(chain.dec, bonds_conj)
         assert np.array_equal(g_pruned.M, g_conj.M)
         assert np.array_equal(g_pruned.R, g_conj.R)
         # pruned graph keeps exactly the original loops and nothing else
         assert np.array_equal(np.diag(np.diagonal(g.M)), g_pruned.M)
         # loop states of the conjugated term are the reference products
+        # xi_r (x) xi_l, the first basis vector of the bond block
         for st in loop_states(bonds_conj):
-            xi_r, xi_l = chain.disentangler.refs[st.block]
-            target = np.kron(xi_r, xi_l)
-            assert abs(abs(np.vdot(target, st.phi)) - 1.0) < 1e-8
+            assert abs(abs(st.phi[0]) - 1.0) < 1e-8
         # ground degeneracy is untouched for every chain length
         t, t2 = TransferMatrices.from_graph(g), TransferMatrices.from_graph(g_conj)
         assert [degeneracy(t, n) for n in range(1, 7)] == [

@@ -607,7 +607,7 @@ def test_tol_floor_sits_a_decade_above_rounding(tmp_path, capsys):
         ([(2, 4), (2, 4)], [[1, 5], [0, 1]]),
     ]
     for seed, (blocks, kdims) in enumerate(specs):
-        term = operators.synthesize_local_term(blocks, kdims, seed)
+        term = models.synthesize_local_term(blocks, kdims, seed)
         residual = operators.commutator_residual(operators.operator_schmidt(term))
         assert 10 * residual <= operators.MIN_TOL, (term.d, residual)
         if term.d > 9:
@@ -649,6 +649,21 @@ def test_long_n_lists_are_refused_fast_and_small(capsys):
         assert code == 1, argv
         assert "past the limit" in json.loads(out)["error"], argv
         assert elapsed < 1.0 and peak < 100 * 2**20, (argv, elapsed, peak)
+
+
+def test_normal_form_is_refused_past_its_bound_before_any_allocation(capsys):
+    # d = 3000 asks for a 9e6 x 9e6 matrix: numpy's MemoryError used to end
+    # the command in a traceback with no report.
+    tracemalloc.start()
+    code = main(["canonical", "--k", "1", "--d", "3000"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "past the limit" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+    assert peak < 2**20
+    assert "d <= 45" in _subparsers(cli.build_parser())["canonical"].format_help()
 
 
 def test_census_checks_every_length_before_the_first(monkeypatch, capsys):

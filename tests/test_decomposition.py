@@ -11,6 +11,7 @@ from commchain import models
 from commchain._linalg import dag
 from commchain.canonical import Analysis
 from commchain.decomposition import (
+    SiteDecomposition,
     _center,
     _Retry,
     _verify_blocks,
@@ -19,7 +20,8 @@ from commchain.decomposition import (
 )
 from commchain.errors import DecompositionFailed
 from commchain.graph import extract_bond_projectors, reconstruct_term
-from commchain.operators import ProjectorTerm, operator_schmidt, projectorize, synthesize_local_term
+from commchain.models import synthesize_local_term
+from commchain.operators import ProjectorTerm, operator_schmidt, projectorize
 
 from conftest import (
     center,
@@ -252,8 +254,9 @@ def test_commutant_path_matches_closure_reference(small_corpus, acceptance_corpu
             assert span_distance(comm.basis, ref.basis) <= 1e-8, (name, i)
 
 
-def _verify_blocks_loop(blocks, left_family, right_family, thresh):
+def _verify_blocks_loop(dec, left_family, right_family, thresh):
     """The per-(factor, block, block) check, one Frobenius norm each: the reference."""
+    blocks = dec.blocks
 
     def left_defect(m, l, r):
         stilde = np.einsum("axbx->ab", m.reshape(l, r, l, r)) / r
@@ -294,10 +297,11 @@ def _rotated(blocks, i, j, angle, cols=(0, 0)):
 
 
 def _messages(blocks, left, right):
+    dec = SiteDecomposition(blocks[0].isometry.shape[0], blocks)
     got = []
     for check in (_verify_blocks, _verify_blocks_loop):
         with pytest.raises(_Retry) as exc:
-            check(blocks, left, right, np.sqrt(1e-9))
+            check(dec, left, right, np.sqrt(1e-9))
         got.append(str(exc.value))
     return got
 
@@ -308,8 +312,8 @@ def test_verify_blocks_reports_the_loops_first_failure(small_corpus):
     for name, term in terms:
         dec = decompose_site(operator_schmidt(term))
         right, left = operator_schmidt(term).folded
-        _verify_blocks(dec.blocks, left, right, np.sqrt(1e-9))
-        _verify_blocks_loop(dec.blocks, left, right, np.sqrt(1e-9))
+        _verify_blocks(dec, left, right, np.sqrt(1e-9))
+        _verify_blocks_loop(dec, left, right, np.sqrt(1e-9))
         nb = len(dec.blocks)
         # a turn of 10 sqrt(tol) is refused too: the Frobenius check is not vacuous
         angles = (1e-3, 10 * np.sqrt(1e-9))

@@ -25,7 +25,8 @@ from commchain.ed import (
     same_subspace,
 )
 from commchain.errors import CommchainError, NonIntegerSpectrum, TooLarge
-from commchain.operators import LocalTerm, ProjectorTerm, synthesize_local_term
+from commchain.models import synthesize_local_term
+from commchain.operators import LocalTerm, ProjectorTerm
 
 from conftest import _build_defects, dense_chain, dense_kernel, dense_momentum_blocks
 

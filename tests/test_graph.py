@@ -1,14 +1,18 @@
 """Tests for bond projector extraction and the interaction graph."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import commchain
 from commchain import models
 from commchain._linalg import subspace_angle_sin
 from commchain.decomposition import Block, SiteDecomposition, decompose_site
 from commchain.errors import FactorizationFailed
 from commchain.graph import export_dot, extract_bond_projectors, reconstruct_term
-from commchain.operators import ProjectorTerm, assemble_two_site, operator_schmidt
+from commchain.operators import ProjectorTerm, operator_schmidt
 
 from conftest import full_pipeline, reference_assemble_two_site, reference_bond_projectors
 
@@ -201,9 +205,9 @@ def test_export_dot_edgeless():
 
 def test_bond_projectors_match_the_per_pair_reference(ising, fig2, small_corpus, acceptance_corpus):
     # One compression onto U x U, sliced per pair, against each pair's own
-    # (W_a x W_b)^dag P (W_a x W_b); and one assembly in the block basis
-    # against each pair's kron and conjugation, on the bonds and on random
-    # middle operators.
+    # (W_a x W_b)^dag P (W_a x W_b); and ``dec.assemble`` in the block basis
+    # against each pair's kron and conjugation, on the bonds, on random
+    # middle operators and on the empty dict (every pair the identity).
     rng = np.random.default_rng(15)
     terms = [ising, fig2] + [m.term for m in small_corpus + acceptance_corpus]
     for term in terms:
@@ -222,10 +226,12 @@ def test_bond_projectors_match_the_per_pair_reference(ising, fig2, small_corpus,
             for a, row in enumerate(bonds)
             for b, n in enumerate(bf.q.shape[0] for bf in row)
         }
-        for q_blocks in (lambda a, b: bonds[a][b].q, lambda a, b: mids[a, b]):
-            got = assemble_two_site(dec.block_dims, isos, q_blocks)
-            ref = reference_assemble_two_site(dec.block_dims, isos, q_blocks)
+        qs = {(a, b): bf.q for a, row in enumerate(bonds) for b, bf in enumerate(row)}
+        for ops in (qs, mids):
+            got = dec.assemble(ops)
+            ref = reference_assemble_two_site(dec.block_dims, isos, lambda a, b: ops[a, b])
             assert np.linalg.norm(got - ref) < 1e-12 * max(np.linalg.norm(ref), 1.0)
+        assert np.linalg.norm(dec.assemble({}) - np.eye(p.d**2)) < 1e-12
 
 
 def test_extract_bond_projectors_makes_no_per_pair_kron(fig2, monkeypatch):
@@ -238,3 +244,40 @@ def test_extract_bond_projectors_makes_no_per_pair_kron(fig2, monkeypatch):
     again = extract_bond_projectors(p, dec)
     assert len(dec.blocks) == 4 and len(calls) == 2
     assert all(np.array_equal(x.q, y.q) for rx, ry in zip(bonds, again) for x, y in zip(rx, ry))
+
+
+def _block_basis_sites() -> list[tuple[str, str, str]]:
+    """(module, enclosing class or else top-level function, what) of every block-basis build.
+
+    "hstack" is a column stack of isometries into U, "cumsum" a running sum
+    (a block-offset table), "def" a function whose name holds "offset".
+    """
+    sites = []
+
+    def visit(node: ast.AST, module: str, owner: str | None) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if isinstance(node, ast.FunctionDef) and "offset" in node.name:
+                sites.append((module, owner, "def"))
+            owner = node.name if isinstance(node, ast.ClassDef) or owner is None else owner
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("hstack", "cumsum"):
+                sites.append((module, owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(commchain.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_only_site_decomposition_builds_the_block_basis():
+    # The ED's cumsum numbers the kept momentum states; it is no block offset.
+    allowed = {("decomposition", "SiteDecomposition"), ("ed", "_momentum_blocks")}
+    sites = _block_basis_sites()
+    owned = {("decomposition", "SiteDecomposition", what) for what in ("hstack", "cumsum", "def")}
+    assert owned <= set(sites)
+    assert {(module, owner) for module, owner, _ in sites} <= allowed, sites
+    operators = ast.parse((Path(commchain.__file__).parent / "operators.py").read_text())
+    names = {n.name for n in ast.walk(operators) if isinstance(n, ast.FunctionDef)}
+    assert not names & {"assemble_two_site", "_block_offsets"}

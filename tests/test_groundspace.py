@@ -240,6 +240,27 @@ def test_ground_states_refuse_past_the_entry_bound(ising):
     assert len(ground_states(a, 4).states) == 2
 
 
+def test_ground_states_cap_keeps_a_prefix_and_flags_what_it_cut(fig2):
+    # In the synthesized term the bond 0 -> 1 has a 2-dimensional kernel, so
+    # a closed walk through it carries several states and a cap can cut
+    # inside one walk.
+    term = cc.synthesize_local_term([(1, 2), (2, 1)], [[1, 2], [1, 1]], seed=99)
+    for a in (Analysis(fig2), Analysis(term)):
+        t = TransferMatrices.from_graph(a.graph)
+        for n in (3, 4):
+            full = ground_states(a, n)
+            total = degeneracy(t, n)
+            assert len(full.states) == total and not full.truncated
+            for cap in range(1, total + 2):
+                gs = ground_states(a, n, cap)
+                assert gs.truncated == (cap < total), (n, cap)
+                assert [s.cycle for s in gs.states] == [s.cycle for s in full.states[:cap]]
+                for s, f in zip(gs.states, full.states):
+                    assert all(map(np.array_equal, s.bond_vectors, f.bond_vectors))
+    walks = [s.cycle for s in ground_states(Analysis(term), 3).states]
+    assert len(walks) > len(set(walks))
+
+
 def test_ground_state_count_matches_degeneracy(small_corpus):
     for m in small_corpus:
         a = Analysis(m.term)

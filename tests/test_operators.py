@@ -7,6 +7,7 @@ import commchain as cc
 from commchain import _linalg as la
 from commchain import models, operators
 from commchain.errors import InvalidSpec, NotHermitian, NotPSD
+from commchain.models import synthesize_local_term
 from commchain.operators import (
     LocalTerm,
     ProjectorTerm,
@@ -14,7 +15,6 @@ from commchain.operators import (
     commutator_residual,
     operator_schmidt,
     projectorize,
-    synthesize_local_term,
 )
 
 from conftest import dense_eqx_defect, full_pipeline, inner_factors, schmidt_sum
