@@ -27,7 +27,6 @@ from .decomposition import SiteDecomposition, decompose_site
 from .ed import same_chain_kernel
 from .errors import (
     CommchainError,
-    DegenerateLoopKernel,
     InvalidK,
     NotCommuting,
     NotScaleInvariant,
@@ -193,8 +192,6 @@ def canonical_hamiltonian(k: int, d: int) -> ProjectorTerm:
 class PhaseReport:
     """Verdict bundle of the full classification pipeline."""
 
-    tol: float
-    seed: int
     commuting: bool | None = None
     commutator_residual: float | None = None
     block_dims: list[tuple[int, int]] | None = None
@@ -209,15 +206,6 @@ class PhaseReport:
     @property
     def scale_invariant(self) -> bool | None:
         return self.verdict.scale_invariant if self.verdict else None
-
-    def exit_code(self) -> int:
-        if self.error is not None:
-            return 1
-        if self.commuting is False:
-            return 2
-        if self.verdict is not None and not self.verdict.scale_invariant:
-            return 3
-        return 0
 
     def to_dict(self) -> dict:
         return {
@@ -236,8 +224,6 @@ class PhaseReport:
             "conventions": self.notes,
             "error": self.error,
             "stage": self.stage,
-            "seed": self.seed,
-            "tol": self.tol,
         }
 
 
@@ -251,7 +237,7 @@ _CONVENTION_NOTES = [
 def classify_phase(term: LocalTerm, tol: float = DEFAULT_TOL, seed: int = 0) -> PhaseReport:
     """Run the staged analysis of ``term`` and report its phase."""
     a = Analysis(term, tol, seed)
-    report = PhaseReport(tol=tol, seed=seed, notes=list(_CONVENTION_NOTES))
+    report = PhaseReport(notes=list(_CONVENTION_NOTES))
     try:
         p = a.p
     except (CommchainError, ValueError) as exc:
@@ -307,9 +293,6 @@ def canonical_chain(analysis: Analysis) -> CanonicalChain:
     """
     pruned = prune_to_loops(analysis)
     dec, bonds, loops = analysis.dec, analysis.bonds, analysis.verdict.loops
-    for a in loops:
-        if bonds[a][a].kernel_dim != 1:
-            raise DegenerateLoopKernel(f"loop {a} has kernel dimension {bonds[a][a].kernel_dim}")
     u = disentangling_unitary(dec, loop_states(bonds), analysis.tol)
     conjugated = conjugate_term(pruned, u)
     # + 0.0 writes a -0.0 entry as 0.0, as the product W_a (xi_l (x) xi_r) does.

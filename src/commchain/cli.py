@@ -6,9 +6,15 @@ all integers are exact, and outputs are byte-deterministic for a fixed
 (input, seed, tol).
 
 Exit codes: 0 success / classified, 2 non-commuting input, 3 commuting but
-not scale invariant, 1 I/O or numerical failure.  Subcommands raise; one
-dispatcher in ``main`` maps each error to its exit code and a JSON
-``error`` report.
+not scale invariant, 1 I/O or numerical failure.
+
+One way in: ``_read_doc`` reads every input document and refuses any JSON
+value that is not an object; ``_term`` takes the local term of a term
+document or of a report's ``"h"``.  One way out: each subcommand returns
+its report and exit code, and writes only DOT (``graph --dot``) and
+``verify``'s progress lines on stderr; ``main`` hands the report, or the
+``error`` report of a raised or usage error, to ``_emit``, the one writer,
+which puts the seed and tolerance last.
 
 Reports are written as ``json.dumps(doc, indent=2)`` writes them, byte for
 byte.  The indented encoder is pure Python, so complex arrays (the codec's
@@ -41,7 +47,7 @@ from .canonical import (
     canonical_hamiltonian,
     classify_phase,
 )
-from .ed import build_chain, integer_spectrum
+from .ed import DEFAULT_CAP as DEFAULT_ED_CAP, build_chain, integer_spectrum
 from .errors import CommchainError, NotCommuting, NotScaleInvariant, TooLarge
 from .graph import export_dot
 from .groundspace import (
@@ -127,11 +133,7 @@ def _dumps(obj, depth: int = 0) -> str:
     return _plain(obj, depth) if text is None else text
 
 
-def _emit(doc: dict, path: str | None) -> None:
-    try:
-        text = _dumps(doc) + "\n"
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise _ReportTooLarge(f"report not written: {exc}") from exc
+def _write(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -139,16 +141,35 @@ def _emit(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _fail(message: str, args, code: int = EXIT_FAILURE) -> int:
-    _emit({"error": message, "seed": args.seed, "tol": args.tol}, getattr(args, "json", None))
-    return code
+def _emit(doc: dict, args) -> None:
+    """Write ``doc``, with the run's seed and tolerance last, to ``--json`` or stdout."""
+    try:
+        text = _dumps({**doc, "seed": args.seed, "tol": args.tol}) + "\n"
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise _ReportTooLarge(f"report not written: {exc}") from exc
+    _write(text, getattr(args, "json", None))
 
 
 def _read_doc(path: str | None) -> dict:
+    """The JSON object in ``path`` ('-' or None for stdin); any other JSON value is refused."""
     if path in (None, "-"):
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CommchainError("input document is not a JSON object")
+    return doc
+
+
+def _term(doc: dict, tol: float) -> LocalTerm:
+    """The local term of a term document, or of the ``"h"`` of a report that holds one."""
+    return LocalTerm.from_dict(doc.get("h", doc), tol)
+
+
+def _s_map(path: str, tol: float) -> bridge_mod.InjectiveMpsMap:
+    """The polar-normalized map of the ``"S"`` matrix in the document at ``path``."""
+    return bridge_mod.polar_normalize(complex_from_json(_read_doc(path)["S"]), tol)
 
 
 def _load_term(args) -> LocalTerm:
@@ -157,10 +178,7 @@ def _load_term(args) -> LocalTerm:
     if args.model:
         return models.builtin(args.model)
     if args.input:
-        doc = _read_doc(args.input)
-        if "h" in doc:
-            doc = doc["h"]
-        return LocalTerm.from_dict(doc, args.tol)
+        return _term(_read_doc(args.input), args.tol)
     raise CommchainError("an input is required: --model NAME or --input PATH")
 
 
@@ -211,27 +229,27 @@ def _add_common(sub, needs_input=True):
     sub.add_argument("--json", help="output path (default stdout)")
 
 
-def cmd_analyze(args) -> int:
-    term = _load_term(args)
-    report = classify_phase(term, args.tol, args.seed)
-    _emit(report.to_dict(), args.json)
-    return report.exit_code()
+# Exit code of each stage at which classify_phase stops.
+_STAGE_EXIT_CODES = {
+    "projectorize": EXIT_FAILURE,
+    "check_commuting": EXIT_NOT_COMMUTING,
+    "decomposition": EXIT_FAILURE,
+    "scale_invariance": EXIT_NOT_SCALE_INVARIANT,
+    "classified": EXIT_OK,
+}
 
 
-def cmd_graph(args) -> int:
+def cmd_analyze(args) -> tuple[dict, int]:
+    report = classify_phase(_load_term(args), args.tol, args.seed)
+    return report.to_dict(), _STAGE_EXIT_CODES[report.stage]
+
+
+def cmd_graph(args) -> tuple[dict | None, int]:
     g = Analysis(_load_term(args), args.tol, args.seed).graph
-    doc = g.to_dict()
-    doc.update({"seed": args.seed, "tol": args.tol})
     if args.dot:
-        text = export_dot(g)
-        if args.dot == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dot, "w") as fh:
-                fh.write(text)
-    if args.dot != "-" or args.json:
-        _emit(doc, args.json)
-    return EXIT_OK
+        _write(export_dot(g), args.dot)
+    # With DOT on stdout, the report is written only where --json asks for it.
+    return (g.to_dict() if args.dot != "-" or args.json else None), EXIT_OK
 
 
 def _log10_degeneracy(m: list[list[int]], n: int) -> float:
@@ -259,7 +277,7 @@ def _log10_degeneracy(m: list[list[int]], n: int) -> float:
     return log_result + math.log10(trace) if trace > 0 else -math.inf
 
 
-def cmd_degeneracy(args) -> int:
+def cmd_degeneracy(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
     t = TransferMatrices.from_graph(a.graph)
@@ -274,27 +292,18 @@ def cmd_degeneracy(args) -> int:
                 f"report not written: the degeneracy at N={n} has about {digits} "
                 f"digits, past the {limit}-digit limit for integer string conversion"
             )
-    doc = {
-        "degeneracy": {str(n): degeneracy(t, n) for n in n_list},
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    _emit(doc, args.json)
-    return EXIT_OK
+    return {"degeneracy": {str(n): degeneracy(t, n) for n in n_list}}, EXIT_OK
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
     t = TransferMatrices.from_graph(a.graph)
     check_census_size(t, n_list)
-    census = {str(n): spectral_census(t, n).to_dict() for n in n_list}
-    doc = {"census": census, "seed": args.seed, "tol": args.tol}
-    _emit(doc, args.json)
-    return EXIT_OK
+    return {"census": {str(n): spectral_census(t, n).to_dict() for n in n_list}}, EXIT_OK
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
     check_ground_size(a, n_list, args.cap)
@@ -306,20 +315,15 @@ def cmd_ground(args) -> int:
             "truncated": gs.truncated,
             "states": [s.to_dict() for s in gs.states],
         }
-    _emit({"ground_states": results, "seed": args.seed, "tol": args.tol}, args.json)
-    return EXIT_OK
+    return {"ground_states": results}, EXIT_OK
 
 
-def cmd_canonical(args) -> int:
+def cmd_canonical(args) -> tuple[dict, int]:
     if args.k is not None or args.d is not None:
         if args.k is None or args.d is None:
             raise CommchainError("--k and --d must be given together")
         rep = canonical_hamiltonian(args.k, args.d)
-        _emit(
-            {"canonical_rep": rep.to_dict(), "k": args.k, "seed": args.seed, "tol": args.tol},
-            args.json,
-        )
-        return EXIT_OK
+        return {"canonical_rep": rep.to_dict(), "k": args.k}, EXIT_OK
     chain = canonical_chain(Analysis(_load_term(args), args.tol, args.seed))
     doc = {
         "k": chain.k,
@@ -327,14 +331,11 @@ def cmd_canonical(args) -> int:
         "pruned": chain.pruned.to_dict(),
         "disentangler": complex_to_json(chain.disentangler),
         "site_states": [complex_to_json(v) for v in chain.site_states],
-        "seed": args.seed,
-        "tol": args.tol,
     }
-    _emit(doc, args.json)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
     t = TransferMatrices.from_graph(a.graph)
@@ -368,62 +369,54 @@ def cmd_verify(args) -> int:
             f"N={n}: degeneracy {deg} vs ED {ed_deg}, census "
             f"{'ok' if census_ok else 'MISMATCH'} -> {status}\n"
         )
-    _emit({"verify": rows, "all_pass": all_ok, "seed": args.seed, "tol": args.tol}, args.json)
-    return EXIT_OK if all_ok else EXIT_FAILURE
+    return {"verify": rows, "all_pass": all_ok}, EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def cmd_bridge(args) -> int:
-    if args.action == "mps-parent":
-        if args.s_matrix:
-            doc = _read_doc(args.s_matrix)
-            m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
-        else:
-            m = bridge_mod.random_injective_map(args.chi, args.seed)
-        res = bridge_mod.mps_parent(m)
-        _emit(
-            {
-                "h": res.h.to_dict(),
-                "P": res.p.to_dict(),
-                "S": res.s_map.to_dict(),
-                "layout": res.layout,
-                "seed": args.seed,
-                "tol": args.tol,
-            },
-            args.json,
-        )
-        return EXIT_OK
-    if args.action == "polar-normalize":
-        doc = _read_doc(args.input)
-        m = bridge_mod.polar_normalize(complex_from_json(doc["S"]), args.tol)
-        _emit({**m.to_dict(), "seed": args.seed, "tol": args.tol}, args.json)
-        return EXIT_OK
-    if args.action == "solve-x":
-        doc = _read_doc(args.input)
-        h = LocalTerm.from_dict(doc["h"] if "h" in doc else doc, args.tol)
-        cand = bridge_mod.solve_x(h, args.tol, args.seed)
-        out = {"h": h.to_dict()}
-        out["x_candidate"] = cand.to_dict() if cand else {"status": "not_found"}
-        out.update({"seed": args.seed, "tol": args.tol})
-        _emit(out, args.json)
-        return EXIT_OK
-    # commutify, the last of the parser's choices
+def _mps_parent(args) -> dict:
+    if args.s_matrix:
+        m = _s_map(args.s_matrix, args.tol)
+    else:
+        m = bridge_mod.random_injective_map(args.chi, args.seed)
+    res = bridge_mod.mps_parent(m)
+    return {
+        "h": res.h.to_dict(),
+        "P": res.p.to_dict(),
+        "S": res.s_map.to_dict(),
+        "layout": res.layout,
+    }
+
+
+def _polar_normalize(args) -> dict:
+    return _s_map(args.input, args.tol).to_dict()
+
+
+def _solve_x(args) -> dict:
+    h = _term(_read_doc(args.input), args.tol)
+    cand = bridge_mod.solve_x(h, args.tol, args.seed)
+    return {"h": h.to_dict(), "x_candidate": cand.to_dict() if cand else {"status": "not_found"}}
+
+
+def _commutify(args) -> dict:
     doc = _read_doc(args.input)
     h = LocalTerm.from_dict(doc["h"], args.tol)
     xc = doc.get("x_candidate", doc)
-    if "X" not in xc or xc.get("status") == "not_found":
+    if not isinstance(xc, dict) or "X" not in xc or xc.get("status") == "not_found":
         raise CommchainError("no X candidate in input document")
-    x = complex_from_json(xc["X"])
-    res = bridge_mod.commutify(h, x, args.tol)
-    _emit(
-        {
-            "h_prime": res.h_prime.to_dict(),
-            "certificate": res.certificate,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
-        args.json,
-    )
-    return EXIT_OK
+    res = bridge_mod.commutify(h, complex_from_json(xc["X"]), args.tol)
+    return {"h_prime": res.h_prime.to_dict(), "certificate": res.certificate}
+
+
+# The bridge actions; the keys, in this order, are the parser's choices.
+_BRIDGE_ACTIONS = {
+    "mps-parent": _mps_parent,
+    "solve-x": _solve_x,
+    "commutify": _commutify,
+    "polar-normalize": _polar_normalize,
+}
+
+
+def cmd_bridge(args) -> tuple[dict, int]:
+    return _BRIDGE_ACTIONS[args.action](args), EXIT_OK
 
 
 def _add_analyze(subs) -> None:
@@ -490,15 +483,20 @@ def _add_verify(subs) -> None:
     sp = subs.add_parser("verify", help="cross-check against exact diagonalization")
     _add_common(sp)
     sp.add_argument("--N", required=True, help="chain lengths, e.g. 2..6")
-    sp.add_argument("--ed-cap", type=int, default=4096, dest="ed_cap")
+    sp.add_argument(
+        "--ed-cap",
+        type=_count,
+        default=DEFAULT_ED_CAP,
+        dest="ed_cap",
+        help="largest d^N checked by exact diagonalization; a longer chain is skipped "
+        "(default %(default)s)",
+    )
     sp.set_defaults(func=cmd_verify)
 
 
 def _add_bridge(subs) -> None:
     sp = subs.add_parser("bridge", help="non-commuting to commuting bridge tools")
-    sp.add_argument(
-        "action", choices=["mps-parent", "solve-x", "commutify", "polar-normalize"]
-    )
+    sp.add_argument("action", choices=_BRIDGE_ACTIONS)
     sp.add_argument("--input", help="input JSON document ('-' for stdin)")
     sp.add_argument("--chi", type=_count, default=2, help="bond dimension for mps-parent")
     sp.add_argument("--s-matrix", dest="s_matrix", help="JSON file with an S matrix")
@@ -519,7 +517,7 @@ _SUBCOMMANDS = {
 }
 
 
-class _UsageError(Exception):
+class _UsageError(CommchainError):
     """A command line that argparse rejects."""
 
 
@@ -551,8 +549,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 # Exit code of each error a subcommand may raise, in the order of the
-# checks: NotCommuting and NotScaleInvariant are CommchainErrors,
-# JSONDecodeError a ValueError.
+# checks: NotCommuting and NotScaleInvariant are CommchainErrors, and so is
+# _UsageError; JSONDecodeError is a ValueError.
 _EXIT_CODES = {
     NotCommuting: EXIT_NOT_COMMUTING,
     NotScaleInvariant: EXIT_NOT_SCALE_INVARIANT,
@@ -565,15 +563,16 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(seed=0, tol=DEFAULT_TOL)  # what a usage error reports
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except _UsageError as exc:
-        return _fail(str(exc), argparse.Namespace(seed=0, tol=DEFAULT_TOL))
-    try:
-        return args.func(args)
+        doc, code = args.func(args)
+        if doc is not None:
+            _emit(doc, args)
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        return _fail(str(exc), args, code)
+        _emit({"error": str(exc)}, args)
+    return code
 
 
 if __name__ == "__main__":

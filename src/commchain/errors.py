@@ -37,10 +37,6 @@ class NotScaleInvariant(CommchainError):
     """Operation requires a scale-invariant interaction graph."""
 
 
-class DegenerateLoopKernel(CommchainError):
-    """A loop kernel has dimension other than one."""
-
-
 class InvalidK(CommchainError):
     """Requested degeneracy is outside 1..d."""
 

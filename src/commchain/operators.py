@@ -96,7 +96,12 @@ class LocalTerm:
 
     @classmethod
     def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "LocalTerm":
-        d = int(data["d"])
+        """The term of a ``to_dict`` document; ``d`` must be a JSON integer."""
+        if not isinstance(data, dict):
+            raise ValueError("local term is not a JSON object")
+        d = data["d"]
+        if type(d) is not int:  # not a float, a bool or a string either
+            raise ValueError(f"site dimension d must be a JSON integer, got {d!r}")
         return cls.symmetrized(d, la.complex_from_json(data["matrix"]), tol)
 
 

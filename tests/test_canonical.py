@@ -133,14 +133,14 @@ def test_classify_ising(ising):
     assert rep.commuting and rep.scale_invariant
     assert rep.degeneracy == 2
     assert np.allclose(rep.canonical_rep.op, ising.op)
-    assert rep.exit_code() == 0
+    assert rep.stage == "classified"
 
 
 def test_classify_fig2(fig2):
     rep = classify_phase(fig2)
     assert rep.commuting and rep.scale_invariant is False
     assert rep.degeneracy is None
-    assert rep.exit_code() == 3
+    assert rep.stage == "scale_invariance"
     assert rep.verdict.witness is not None
 
 
@@ -158,7 +158,7 @@ def test_classify_non_commuting():
     p = cc.ProjectorTerm(2, v[:, :2] @ v[:, :2].conj().T)
     rep = classify_phase(p)
     assert rep.commuting is False
-    assert rep.exit_code() == 2
+    assert rep.stage == "check_commuting"
 
 
 def test_site_state_check_refuses_a_wrong_site_state(monkeypatch):
@@ -191,7 +191,6 @@ def test_classify_non_hermitian_input():
     bad[0, 1] = 1.0
     rep = classify_phase(LocalTerm(2, bad))
     assert rep.error is not None and rep.stage == "projectorize"
-    assert rep.exit_code() == 1
 
 
 def test_conjugation_preserves_commutativity_and_graph(small_corpus):
@@ -262,4 +261,4 @@ def test_classify_mislabelled_projector_fails_at_projectorize():
     rep = classify_phase(cc.ProjectorTerm(2, 2 * np.eye(4)))
     assert rep.stage == "projectorize"
     assert "not a projector" in rep.error
-    assert rep.commuting is None and rep.exit_code() == 1
+    assert rep.commuting is None and rep.error is not None

@@ -1,6 +1,7 @@
 """CLI subcommand tests: formats, exit codes, determinism, piping."""
 
 import argparse
+import ast
 import itertools
 import json
 import math
@@ -8,12 +9,13 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import commchain as cc
-from commchain import cli, decomposition, groundspace, models, operators
+from commchain import cli, decomposition, ed, groundspace, models, operators
 from commchain._linalg import complex_to_json
 from commchain.cli import main
 from commchain.groundspace import TransferMatrices, degeneracy
@@ -172,6 +174,78 @@ def test_scale_invariant_degeneracy_at_large_n_is_exact(capsys):
     code, out = run_cli(capsys, ["degeneracy", "--model", "ising", "--N", "10000000,10000001"])
     assert code == 0
     assert json.loads(out)["degeneracy"] == {"10000000": 2, "10000001": 2}
+
+
+_ISING_MATRIX = json.dumps(models.builtin("ising").to_dict()["matrix"])
+
+# Every reader of an input document: the --input of each subcommand, and
+# the S matrix of mps-parent.
+_READERS = [
+    ["analyze", "--input"],
+    ["graph", "--input"],
+    ["degeneracy", "--N", "3", "--input"],
+    ["census", "--N", "3", "--input"],
+    ["ground", "--N", "3", "--input"],
+    ["canonical", "--input"],
+    ["verify", "--N", "2", "--input"],
+    ["bridge", "solve-x", "--input"],
+    ["bridge", "commutify", "--input"],
+    ["bridge", "polar-normalize", "--input"],
+    ["bridge", "mps-parent", "--s-matrix"],
+]
+
+
+def _malformed_documents() -> list[tuple[str, list[list[str]]]]:
+    """(JSON text, the readers it goes through) of documents no reader may take.
+
+    A JSON value that is not an object, a d that is not a JSON integer
+    (1e400 reads as inf, true as a bool) and an "h" that is not an object
+    fail every reader.  The x_candidate document holds a valid term; only
+    commutify, which reads past the term, must refuse it.
+    """
+    bad_d = ("null", "[2]", "2.5", "1e400", "true", '"2"')
+    terms = [f'{{"d": {d}, "matrix": {_ISING_MATRIX}}}' for d in bad_d]
+    every = [(text, _READERS) for text in ["[1, 2]", "5", *terms, '{"h": 5}']]
+    ising = json.dumps(models.builtin("ising").to_dict())
+    return every + [(f'{{"h": {ising}, "x_candidate": 5}}', [["bridge", "commutify", "--input"]])]
+
+
+def test_malformed_documents_are_json_errors(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    runs = 0
+    for text, readers in _malformed_documents():
+        path.write_text(text)
+        for reader in readers:
+            code = main(reader + [str(path)])  # a traceback would raise here
+            captured = capsys.readouterr()
+            assert code == 1, (reader, text[:40])
+            doc = json.loads(captured.out)  # one JSON object and nothing else
+            assert {"error", "seed", "tol"} <= set(doc), (reader, text[:40])
+            assert "Traceback" not in captured.err
+            runs += 1
+    assert runs == 9 * len(_READERS) + 1
+
+
+def test_only_the_writer_stamps_seed_and_tol():
+    # A "seed" dict key appears only in cli._emit, and only main calls _emit.
+    keys, emits = set(), set()
+
+    def visit(node: ast.AST, module: str, owner: str | None) -> None:
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "seed" for k in node.keys
+        ):
+            keys.add((module, owner))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit":
+            emits.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(cc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert keys == {("cli", "_emit")}
+    assert emits == {("cli", "main")}
 
 
 def test_malformed_matrix_is_a_json_error(tmp_path, capsys):
@@ -350,9 +424,9 @@ def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
     emitted = []
     emit = cli._emit
 
-    def spy(doc, path):
-        emitted.append((doc, path))
-        emit(doc, path)
+    def spy(doc, args):
+        emitted.append((doc, args))
+        emit(doc, args)
 
     monkeypatch.setattr(cli, "_emit", spy)
     s_path = tmp_path / "s.json"
@@ -378,9 +452,14 @@ def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
         main(argv if "--json" in argv else argv + ["--json", str(tmp_path / f"out{i}.json")])
     capsys.readouterr()
     assert len(emitted) == len(runs)
-    for doc, path in emitted:
-        with open(path) as fh:
-            assert fh.read() == json.dumps(doc, indent=2) + "\n", path
+    for doc, args in emitted:
+        # Subcommands leave the seed and tolerance to the writer, which puts them last.
+        assert "seed" not in doc and "tol" not in doc, args.json
+        stamped = {**doc, "seed": args.seed, "tol": args.tol}
+        with open(args.json) as fh:
+            text = fh.read()
+        assert text == json.dumps(stamped, indent=2) + "\n", args.json
+        assert list(json.loads(text))[-2:] == ["seed", "tol"], args.json
 
 
 def _write_term(tmp_path, term):
@@ -570,6 +649,7 @@ def test_bad_tol_chi_and_cap_are_usage_errors(capsys):
         bad.append(["bridge", "mps-parent", "--tol", value])
     bad += [["bridge", "mps-parent", "--chi", v] for v in ("0", "-2")]
     bad += [["ground", "--model", "ising", "--N", "3", "--cap", v] for v in ("0", "-1")]
+    bad += [["verify", "--model", "ising", "--N", "3", "--ed-cap", v] for v in ("0", "-1")]
     for argv in bad:
         code = main(argv)
         captured = capsys.readouterr()
@@ -593,6 +673,12 @@ def test_bad_tol_chi_and_cap_are_usage_errors(capsys):
     code, out = run_cli(capsys, ["analyze", "--model", "ising", "--tol", "1e-12"])
     assert code == 0 and json.loads(out)["tol"] == operators.MIN_TOL == 1e-12
     assert "at least 1e-12" in _subparsers(cli.build_parser())["analyze"].format_help()
+
+
+def test_verify_ed_cap_defaults_to_the_oracle_cap():
+    verify = _subparsers(cli.build_parser("verify"))["verify"]
+    assert verify.get_default("ed_cap") == ed.DEFAULT_CAP
+    assert "largest d^N" in verify.format_help()
 
 
 def test_tol_floor_sits_a_decade_above_rounding(tmp_path, capsys):

@@ -37,7 +37,13 @@ from commchain.canonical import Analysis, classify_phase
 from commchain.cli import main
 from commchain.errors import NotCommuting
 from commchain.groundspace import TransferMatrices, spectral_census
-from commchain.operators import LocalTerm, ProjectorTerm, commutator_residual, operator_schmidt
+from commchain.operators import (
+    DEFAULT_TOL,
+    LocalTerm,
+    ProjectorTerm,
+    commutator_residual,
+    operator_schmidt,
+)
 
 from conftest import full_pipeline
 
@@ -77,7 +83,7 @@ def test_basis_change_keeps_verdict(small_corpus, index, seed):
     term = terms[index]
     rep = classify_phase(term)
     rot = classify_phase(_rotate(term, seed))
-    assert rot.exit_code() == rep.exit_code()
+    assert rot.stage == rep.stage
     assert rot.commuting and rep.commuting
     assert rot.scale_invariant == rep.scale_invariant
     assert sorted(rot.block_dims) == sorted(rep.block_dims)
@@ -131,9 +137,9 @@ def _noisy(term, eps, seed):
 def test_noise_far_below_tol_keeps_verdict(small_corpus, index, seed):
     term = small_corpus[index].term
     rep = classify_phase(term)
-    noisy = classify_phase(_noisy(term, 1e-3 * rep.tol, seed))
+    noisy = classify_phase(_noisy(term, 1e-3 * DEFAULT_TOL, seed))
     assert noisy.commuting and noisy.error is None
-    assert noisy.exit_code() == rep.exit_code()
+    assert noisy.stage == rep.stage
     assert noisy.scale_invariant == rep.scale_invariant
     assert sorted(noisy.block_dims) == sorted(rep.block_dims)
     assert noisy.degeneracy == rep.degeneracy

@@ -6,6 +6,7 @@ ints, big ints, bools, None, unicode strings and non-finite floats.
 Hypothesis runs derandomized, as in ``test_metamorphic``.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_writer_refuses_an_integer_past_the_print_limit(capsys):
         with pytest.raises(ValueError):
             cli._dumps(doc)
         with pytest.raises(cli._ReportTooLarge):
-            cli._emit(doc, None)
+            cli._emit(doc, argparse.Namespace(seed=0, tol=1e-9))
     assert capsys.readouterr().out == ""
 
 
