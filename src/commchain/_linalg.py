@@ -6,12 +6,7 @@ Schmidt factors before they get here), so null spaces and row spaces go
 through a full SVD rather than iterative methods.  Identity checks take
 no SVD: their defects are Frobenius norms (see the ``operators``
 docstring).  The one spectral norm is ``subspace_angle_sin``'s, as the
-sine of a principal angle is one by definition.  The JSON codec for complex
-arrays (nested [re, im] pairs) lives here too, so every report writes
-and reads them the same way.  ``complex_to_json`` returns a
-``ComplexArrayJSON``: a plain list to every reader, which also carries
-its float pairs as an array, so the report writer in ``cli`` can print
-it from a cached template instead of walking the nested lists.
+sine of a principal angle is one by definition.
 """
 
 from __future__ import annotations
@@ -30,9 +25,6 @@ __all__ = [
     "cluster_eigenvalues",
     "complete_orthonormal",
     "subspace_angle_sin",
-    "ComplexArrayJSON",
-    "complex_to_json",
-    "complex_from_json",
 ]
 
 # Gap, relative to max(1, spread), that separates two eigenvalue clusters.
@@ -174,33 +166,3 @@ def subspace_angle_sin(a: np.ndarray, b: np.ndarray) -> float:
     rb = b - a @ (dag(a) @ b)
     return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
-
-class ComplexArrayJSON(list):
-    """The nested [re, im] lists of a complex array, with ``pairs`` the same floats.
-
-    ``pairs`` has shape ``a.shape + (2,)``.  The list is not to be mutated:
-    the report writer prints ``pairs``, not the list.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: np.ndarray):
-        super().__init__(pairs.tolist())
-        self.pairs = pairs
-
-
-def complex_to_json(a) -> ComplexArrayJSON:
-    """Nested lists of [re, im] float pairs for a complex array of any shape."""
-    a = np.asarray(a, dtype=complex)
-    return ComplexArrayJSON(np.stack((a.real, a.imag), -1))
-
-
-def complex_from_json(rows) -> np.ndarray:
-    """Complex array from the nested [re, im] pairs of ``complex_to_json``."""
-    a = np.asarray(rows)
-    if a.dtype.kind not in "biuf" or a.ndim == 0 or a.shape[-1] != 2:
-        raise ValueError("complex entries must be nested [re, im] number pairs")
-    out = np.empty(a.shape[:-1], dtype=complex)
-    out.real = a[..., 0]
-    out.imag = a[..., 1]
-    return out

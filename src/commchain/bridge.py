@@ -76,7 +76,7 @@ class XCandidate:
 
     def to_dict(self) -> dict:
         return {
-            "X": la.complex_to_json(self.x),
+            "X": self.x,
             "residual": self.residual,
             "min_eig": self.min_eigenvalue,
             "status": "found",
@@ -225,10 +225,7 @@ class InjectiveMpsMap:
     phi_max: np.ndarray  # maximally entangled vector, local dimension chi
 
     def to_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "S": la.complex_to_json(self.s),
-        }
+        return {"chi": self.chi, "S": self.s}
 
 
 def _phi_max(chi: int) -> np.ndarray:

@@ -9,20 +9,23 @@ Exit codes: 0 success / classified, 2 non-commuting input, 3 commuting but
 not scale invariant, 1 I/O or numerical failure.
 
 One way in: ``_read_doc`` reads every input document and refuses any JSON
-value that is not an object; ``_term`` takes the local term of a term
+value that is not an object; ``_term`` reads the local term of a term
 document or of a report's ``"h"``.  One way out: each subcommand returns
 its report and exit code, and writes only DOT (``graph --dot``) and
 ``verify``'s progress lines on stderr; ``main`` hands the report, or the
 ``error`` report of a raised or usage error, to ``_emit``, the one writer,
-which puts the seed and tolerance last.
+which puts the seed and tolerance last.  An error report that cannot be
+written to the ``--json`` path goes to stdout.
 
-Reports are written as ``json.dumps(doc, indent=2)`` writes them, byte for
-byte.  The indented encoder is pure Python, so complex arrays (the codec's
-``ComplexArrayJSON`` values) are printed from one cached ``%``-template per
-shape and depth, filled with the ``float.__repr__`` of their entries, and
-flat dicts of str keys and int values (census ``dims``, the degeneracy map)
-from one ``%``-template per size and depth; everything else goes through
-``json.dumps``.
+The JSON layout of complex arrays lives here alone.  Every ndarray in a
+report is complex and is printed as nested ``[re, im]`` float pairs;
+``complex_from_json`` reads them back.  Reports are written as
+``json.dumps(doc, indent=2)`` writes them with arrays as those pairs, byte
+for byte.  The indented encoder is pure Python, so arrays are printed from
+one cached ``%``-template per shape and depth, filled with the
+``float.__repr__`` of their entries, and flat dicts of str keys and int
+values (census ``dims``, the degeneracy map) from one ``%``-template per
+size and depth; everything else goes through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 
 from . import bridge as bridge_mod
 from . import models
-from ._linalg import ComplexArrayJSON, complex_from_json, complex_to_json
 from .canonical import (
     MAX_NORMAL_FORM_ENTRIES,
     Analysis,
@@ -86,19 +88,25 @@ def _array_template(shape: tuple[int, ...], depth: int) -> str:
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The [re, im] float pairs of a complex array, shape ``a.shape + (2,)``."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1)
+
+
 def _plain(obj, depth: int) -> str:
-    # A codec array is a list to json.dumps, so this is right for any value.
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+    text = json.dumps(obj, indent=2, default=lambda a: _pairs(a).tolist())
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 def _templated(obj, depth: int) -> str | None:
-    """``_dumps(obj, depth)`` if ``obj`` holds a codec array or an int dict, else None.
+    """``_dumps(obj, depth)`` if ``obj`` holds an array or an int dict, else None.
 
     Each value is visited once; the values that hold neither go through
     ``json.dumps``.
     """
-    if isinstance(obj, ComplexArrayJSON):
-        pairs = obj.pairs
+    if isinstance(obj, np.ndarray):
+        pairs = _pairs(obj)
         flat = pairs.ravel().tolist()
         # json.dumps spells non-finite floats NaN, Infinity and -Infinity.
         text = map(float.__repr__ if np.isfinite(pairs).all() else json.dumps, flat)
@@ -128,7 +136,7 @@ def _templated(obj, depth: int) -> str | None:
 
 
 def _dumps(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for a value opened at ``depth``."""
+    """``json.dumps(obj, indent=2)``, arrays as [re, im] pairs, for a value opened at ``depth``."""
     text = _templated(obj, depth)
     return _plain(obj, depth) if text is None else text
 
@@ -162,9 +170,25 @@ def _read_doc(path: str | None) -> dict:
     return doc
 
 
-def _term(doc: dict, tol: float) -> LocalTerm:
-    """The local term of a term document, or of the ``"h"`` of a report that holds one."""
-    return LocalTerm.from_dict(doc.get("h", doc), tol)
+def complex_from_json(rows) -> np.ndarray:
+    """Complex array from its nested [re, im] number pairs."""
+    a = np.asarray(rows)
+    if a.dtype.kind not in "biuf" or a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError("complex entries must be nested [re, im] number pairs")
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real = a[..., 0]
+    out.imag = a[..., 1]
+    return out
+
+
+def _term(data, tol: float) -> LocalTerm:
+    """The local term of a term object; ``d`` must be a JSON integer."""
+    if not isinstance(data, dict):
+        raise ValueError("local term is not a JSON object")
+    d = data["d"]
+    if type(d) is not int:  # not a float, a bool or a string either
+        raise ValueError(f"site dimension d must be a JSON integer, got {d!r}")
+    return LocalTerm.symmetrized(d, complex_from_json(data["matrix"]), tol)
 
 
 def _s_map(path: str, tol: float) -> bridge_mod.InjectiveMpsMap:
@@ -178,7 +202,8 @@ def _load_term(args) -> LocalTerm:
     if args.model:
         return models.builtin(args.model)
     if args.input:
-        return _term(_read_doc(args.input), args.tol)
+        doc = _read_doc(args.input)
+        return _term(doc.get("h", doc), args.tol)
     raise CommchainError("an input is required: --model NAME or --input PATH")
 
 
@@ -329,8 +354,8 @@ def cmd_canonical(args) -> tuple[dict, int]:
         "k": chain.k,
         "canonical_rep": chain.canonical.to_dict() if chain.canonical else None,
         "pruned": chain.pruned.to_dict(),
-        "disentangler": complex_to_json(chain.disentangler),
-        "site_states": [complex_to_json(v) for v in chain.site_states],
+        "disentangler": chain.disentangler,
+        "site_states": chain.site_states,
     }
     return doc, EXIT_OK
 
@@ -391,14 +416,15 @@ def _polar_normalize(args) -> dict:
 
 
 def _solve_x(args) -> dict:
-    h = _term(_read_doc(args.input), args.tol)
+    doc = _read_doc(args.input)
+    h = _term(doc.get("h", doc), args.tol)
     cand = bridge_mod.solve_x(h, args.tol, args.seed)
     return {"h": h.to_dict(), "x_candidate": cand.to_dict() if cand else {"status": "not_found"}}
 
 
 def _commutify(args) -> dict:
     doc = _read_doc(args.input)
-    h = LocalTerm.from_dict(doc["h"], args.tol)
+    h = _term(doc["h"], args.tol)
     xc = doc.get("x_candidate", doc)
     if not isinstance(xc, dict) or "X" not in xc or xc.get("status") == "not_found":
         raise CommchainError("no X candidate in input document")
@@ -571,7 +597,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(doc, args)
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        _emit({"error": str(exc)}, args)
+        try:
+            _emit({"error": str(exc)}, args)
+        except OSError as unwritable:  # the --json path: the error report goes to stdout
+            code = EXIT_FAILURE
+            to_stdout = argparse.Namespace(seed=args.seed, tol=args.tol)
+            _emit({"error": f"report not written: {unwritable}"}, to_stdout)
     return code
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import complex_to_json
 from .decomposition import SiteDecomposition
 from .errors import TooLarge
 from .graph import BondFactor, InteractionGraph
@@ -195,13 +194,6 @@ class ScaleInvarianceVerdict:
     loops: list[int]
     witness: Witness | None
 
-    def to_dict(self) -> dict:
-        return {
-            "scale_invariant": self.scale_invariant,
-            "loops": self.loops,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
-
 
 def _find_cycle_without_loops(g: InteractionGraph) -> list[int] | None:
     """Directed cycle of length >= 2 after removing self-loops, if any."""
@@ -303,12 +295,12 @@ class GroundState:
     def to_dict(self) -> dict:
         out = {
             "cycle": [int(v) for v in self.cycle],
-            "bond_vectors": [complex_to_json(v) for v in self.bond_vectors],
+            "bond_vectors": self.bond_vectors,
         }
         if self.mps_tensor is not None:
             out["mps"] = {
                 "bond_dim": int(self.mps_bond_dim),
-                "tensor": complex_to_json(self.mps_tensor),
+                "tensor": self.mps_tensor,
             }
         return out
 

@@ -89,20 +89,7 @@ class LocalTerm:
         return cls(d, (op + la.dag(op)) / 2.0)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "matrix": la.complex_to_json(self.op),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "LocalTerm":
-        """The term of a ``to_dict`` document; ``d`` must be a JSON integer."""
-        if not isinstance(data, dict):
-            raise ValueError("local term is not a JSON object")
-        d = data["d"]
-        if type(d) is not int:  # not a float, a bool or a string either
-            raise ValueError(f"site dimension d must be a JSON integer, got {d!r}")
-        return cls.symmetrized(d, la.complex_from_json(data["matrix"]), tol)
+        return {"d": self.d, "matrix": self.op}
 
 
 @dataclass

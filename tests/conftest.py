@@ -41,6 +41,13 @@ from commchain.groundspace import SpectralCensus, TransferMatrices
 from commchain.operators import ProjectorTerm
 
 
+def pairs_list(a: np.ndarray) -> list:
+    """``json.dumps`` ``default`` of the reference report layout: a complex
+    array as nested [re, im] float lists."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
 def dense_eqx_defect(term, x) -> np.ndarray:
     """Reference h12 X2 h23 - h23 X2 h12 as a dense d^3 x d^3 matrix.
 

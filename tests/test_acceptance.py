@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import commchain as cc
-from commchain import models
+from commchain import cli, models
 from commchain._linalg import dag
 from commchain.canonical import Analysis, canonical_chain, canonical_hamiltonian, classify_phase
 from commchain.cli import main as cli_main
@@ -229,7 +229,7 @@ def test_criterion_7_determinism(tmp_path):
     t0 = time.monotonic()
     term = cc.synthesize_local_term([(1, 2), (2, 1)], [[1, 2], [1, 1]], seed=99)
     term_path = tmp_path / "term.json"
-    term_path.write_text(json.dumps(term.to_dict()))
+    term_path.write_text(cli._dumps(term.to_dict()))
     jobs = [
         ["analyze", "--model", "ising"],
         ["analyze", "--model", "fig2", "--seed", "4"],

@@ -16,9 +16,10 @@ import pytest
 
 import commchain as cc
 from commchain import cli, decomposition, ed, groundspace, models, operators
-from commchain._linalg import complex_to_json
 from commchain.cli import main
 from commchain.groundspace import TransferMatrices, degeneracy
+
+from conftest import pairs_list
 
 
 def run_cli(capsys, argv):
@@ -176,7 +177,7 @@ def test_scale_invariant_degeneracy_at_large_n_is_exact(capsys):
     assert json.loads(out)["degeneracy"] == {"10000000": 2, "10000001": 2}
 
 
-_ISING_MATRIX = json.dumps(models.builtin("ising").to_dict()["matrix"])
+_ISING_MATRIX = cli._dumps(models.builtin("ising").to_dict()["matrix"])
 
 # Every reader of an input document: the --input of each subcommand, and
 # the S matrix of mps-parent.
@@ -206,7 +207,7 @@ def _malformed_documents() -> list[tuple[str, list[list[str]]]]:
     bad_d = ("null", "[2]", "2.5", "1e400", "true", '"2"')
     terms = [f'{{"d": {d}, "matrix": {_ISING_MATRIX}}}' for d in bad_d]
     every = [(text, _READERS) for text in ["[1, 2]", "5", *terms, '{"h": 5}']]
-    ising = json.dumps(models.builtin("ising").to_dict())
+    ising = cli._dumps(models.builtin("ising").to_dict())
     return every + [(f'{{"h": {ising}, "x_candidate": 5}}', [["bridge", "commutify", "--input"]])]
 
 
@@ -246,6 +247,51 @@ def test_only_the_writer_stamps_seed_and_tol():
         visit(ast.parse(path.read_text()), path.stem, None)
     assert keys == {("cli", "_emit")}
     assert emits == {("cli", "main")}
+
+
+def test_only_cli_holds_the_json_layout():
+    # Only cli imports json or defines a name with "json" in it; reports
+    # carry arrays, and no report type reads itself back.
+    imports, names = set(), set()
+    for path in sorted(Path(cc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "json" for m in modules):
+                imports.add(path.stem)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined = node.id
+            else:
+                defined = ""
+            if "json" in defined.lower():
+                names.add(path.stem)
+    assert imports == {"cli"}
+    assert names <= {"cli"}
+    assert not hasattr(operators.LocalTerm, "from_dict")
+    assert not hasattr(groundspace.ScaleInvarianceVerdict, "to_dict")
+
+
+def test_unwritable_report_path_is_a_json_error_on_stdout(tmp_path, capsys):
+    # The report, or the error report of a missing input, cannot be written
+    # to a path in a missing directory or to a directory: the error goes to stdout.
+    (tmp_path / "adir").mkdir()
+    sources = (["--model", "ising"], ["--input", str(tmp_path / "missing.json")])
+    for target in (tmp_path / "nodir" / "x.json", tmp_path / "adir"):
+        for source in sources:
+            # A traceback would raise here.
+            code = main(["analyze", *source, "--json", str(target)])
+            captured = capsys.readouterr()
+            assert code == 1, (target, source)
+            doc = json.loads(captured.out)  # one JSON object and nothing else
+            assert str(target) in doc["error"] and list(doc)[-2:] == ["seed", "tol"]
+            assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
 
 
 def test_malformed_matrix_is_a_json_error(tmp_path, capsys):
@@ -362,7 +408,7 @@ def test_prune_and_commutify_gates_hold_at_small_tol(tmp_path, capsys, small_cor
     for m in small_corpus:
         if m.scale_invariant_planted:
             path = tmp_path / f"{m.name}.json"
-            path.write_text(json.dumps(m.term.to_dict()))
+            path.write_text(cli._dumps(m.term.to_dict()))
             sources.append(["--input", str(path)])
     for source in sources:
         gate, _ = run_cli(capsys, ["analyze", *source, "--tol", tol])
@@ -412,7 +458,7 @@ def test_determinism_synthesized_input(tmp_path, capsys):
 
     term = cc.synthesize_local_term([(1, 2), (1, 1)], [[1, 1], [1, 1]], seed=12)
     path = tmp_path / "term.json"
-    path.write_text(json.dumps(term.to_dict()))
+    path.write_text(cli._dumps(term.to_dict()))
     outs = []
     for _ in range(2):
         code, out = run_cli(capsys, ["analyze", "--input", str(path), "--seed", "3"])
@@ -430,7 +476,7 @@ def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_emit", spy)
     s_path = tmp_path / "s.json"
-    s_path.write_text(json.dumps({"S": complex_to_json(np.diag([2.0, 1j, 1.0, 0.5]))}))
+    s_path.write_text(cli._dumps({"S": np.diag([2.0, 1j, 1.0, 0.5])}))
     parent, solved = tmp_path / "parent.json", tmp_path / "solved.json"
     runs = [
         ["analyze", "--model", "ising"],
@@ -458,13 +504,13 @@ def test_every_report_file_equals_json_dumps(tmp_path, monkeypatch, capsys):
         stamped = {**doc, "seed": args.seed, "tol": args.tol}
         with open(args.json) as fh:
             text = fh.read()
-        assert text == json.dumps(stamped, indent=2) + "\n", args.json
+        assert text == json.dumps(stamped, indent=2, default=pairs_list) + "\n", args.json
         assert list(json.loads(text))[-2:] == ["seed", "tol"], args.json
 
 
 def _write_term(tmp_path, term):
     path = tmp_path / "term.json"
-    path.write_text(json.dumps(term.to_dict()))
+    path.write_text(cli._dumps(term.to_dict()))
     return str(path)
 
 
@@ -699,7 +745,7 @@ def test_tol_floor_sits_a_decade_above_rounding(tmp_path, capsys):
         if term.d > 9:
             continue
         path = tmp_path / f"d{term.d}.json"
-        path.write_text(json.dumps(term.to_dict()))
+        path.write_text(cli._dumps(term.to_dict()))
         code, out = run_cli(capsys, ["analyze", "--input", str(path), "--tol", "1e-12"])
         assert code == 0 and json.loads(out)["commuting"] is True, term.d
 

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commchain import canonical, models
+from commchain import canonical, cli, models
 from commchain._linalg import haar_unitary
 from commchain.canonical import Analysis, classify_phase
 from commchain.cli import main
@@ -150,7 +150,7 @@ def test_noise_far_below_tol_keeps_verdict(small_corpus, index, seed):
 def test_noise_far_above_sqrt_tol_is_not_commuting(tmp_path_factory, small_corpus, index, seed):
     term = _noisy(small_corpus[index].term, 30 * np.sqrt(1e-9), seed)
     path = tmp_path_factory.mktemp("noise") / "term.json"
-    path.write_text(json.dumps(term.to_dict()))
+    path.write_text(cli._dumps(term.to_dict()))
     out = path.with_name("report.json")
     assert main(["analyze", "--input", str(path), "--json", str(out)]) == 2
     report = json.loads(out.read_text())

@@ -1,11 +1,13 @@
 """Tests for projectorization, commutativity, Schmidt factors, synthesis."""
 
+import json
+
 import numpy as np
 import pytest
 
 import commchain as cc
 from commchain import _linalg as la
-from commchain import models, operators
+from commchain import cli, models, operators
 from commchain.errors import InvalidSpec, NotHermitian, NotPSD
 from commchain.models import synthesize_local_term
 from commchain.operators import (
@@ -236,8 +238,8 @@ def test_synthesize_rejects_bad_speces():
 
 
 def test_local_term_json_round_trip(fig2):
-    doc = fig2.to_dict()
-    back = LocalTerm.from_dict(doc)
+    doc = json.loads(cli._dumps(fig2.to_dict()))
+    back = cli._term(doc, operators.DEFAULT_TOL)
     assert back.d == 4
     assert np.allclose(back.op, fig2.op)
 
