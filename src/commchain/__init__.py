@@ -23,7 +23,6 @@ from .ed import build_chain, integer_spectrum, kernel_dim, same_subspace
 from .graph import InteractionGraph, build_graph, export_dot, extract_bond_projectors
 from .models import synthesize_local_term
 from .groundspace import (
-    TransferMatrices,
     check_scale_invariance,
     degeneracy,
     enumerate_cycles,

@@ -91,6 +91,8 @@ class VerifyX:
 
 
 def verify_x(h: LocalTerm, x: np.ndarray, tol: float = DEFAULT_TOL) -> VerifyX:
+    if np.shape(x) != (h.d, h.d):
+        raise ValueError(f"X has shape {np.shape(x)}, not {(h.d, h.d)} for site dimension {h.d}")
     residual = _defect_norm(*operator_schmidt(h, tol).inner, x)
     w = np.linalg.eigvalsh((x + la.dag(x)) / 2.0)
     return VerifyX(residual=residual, pd=bool(w[0] > tol), min_eigenvalue=float(w[0]))

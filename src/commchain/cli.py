@@ -54,7 +54,6 @@ from .errors import CommchainError, NotCommuting, NotScaleInvariant, TooLarge
 from .graph import export_dot
 from .groundspace import (
     DEFAULT_STATE_CAP,
-    TransferMatrices,
     check_census_size,
     check_ground_size,
     degeneracy,
@@ -181,19 +180,27 @@ def complex_from_json(rows) -> np.ndarray:
     return out
 
 
+def _key(doc: dict, key: str, what: str):
+    """``doc[key]``; a missing key is a ValueError naming it and the document ``what``."""
+    if key not in doc:
+        raise ValueError(f"{what} has no {key!r} key")
+    return doc[key]
+
+
 def _term(data, tol: float) -> LocalTerm:
     """The local term of a term object; ``d`` must be a JSON integer."""
     if not isinstance(data, dict):
         raise ValueError("local term is not a JSON object")
-    d = data["d"]
+    d = _key(data, "d", "local term")
     if type(d) is not int:  # not a float, a bool or a string either
         raise ValueError(f"site dimension d must be a JSON integer, got {d!r}")
-    return LocalTerm.symmetrized(d, complex_from_json(data["matrix"]), tol)
+    return LocalTerm.symmetrized(d, complex_from_json(_key(data, "matrix", "local term")), tol)
 
 
 def _s_map(path: str, tol: float) -> bridge_mod.InjectiveMpsMap:
     """The polar-normalized map of the ``"S"`` matrix in the document at ``path``."""
-    return bridge_mod.polar_normalize(complex_from_json(_read_doc(path)["S"]), tol)
+    s = _key(_read_doc(path), "S", "S-matrix document")
+    return bridge_mod.polar_normalize(complex_from_json(s), tol)
 
 
 def _load_term(args) -> LocalTerm:
@@ -277,7 +284,7 @@ def cmd_graph(args) -> tuple[dict | None, int]:
     return (g.to_dict() if args.dot != "-" or args.json else None), EXIT_OK
 
 
-def _log10_degeneracy(m: list[list[int]], n: int) -> float:
+def _log10_degeneracy(m: np.ndarray, n: int) -> float:
     """Float64 estimate of log10 Tr(M^N) (-inf for a zero trace), in O(nv^3 log N).
 
     Binary powering with every product rescaled to a largest entry of 1.
@@ -305,27 +312,25 @@ def _log10_degeneracy(m: list[list[int]], n: int) -> float:
 def cmd_degeneracy(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    t = TransferMatrices.from_graph(a.graph)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7 has no limit
     for n in n_list:
         # Refuse before the exact powering when the float estimate of
         # log10 Tr(M^N) is a decade past the print limit (0 means no limit).
-        estimate = _log10_degeneracy(t.M, n) if limit else -math.inf
+        estimate = _log10_degeneracy(a.graph.M, n) if limit else -math.inf
         if estimate >= limit + 1:
             digits = math.floor(estimate) + 1
             raise _ReportTooLarge(
                 f"report not written: the degeneracy at N={n} has about {digits} "
                 f"digits, past the {limit}-digit limit for integer string conversion"
             )
-    return {"degeneracy": {str(n): degeneracy(t, n) for n in n_list}}, EXIT_OK
+    return {"degeneracy": {str(n): degeneracy(a.graph, n) for n in n_list}}, EXIT_OK
 
 
 def cmd_census(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    t = TransferMatrices.from_graph(a.graph)
-    check_census_size(t, n_list)
-    return {"census": {str(n): spectral_census(t, n).to_dict() for n in n_list}}, EXIT_OK
+    check_census_size(a.graph, n_list)
+    return {"census": {str(n): spectral_census(a.graph, n).to_dict() for n in n_list}}, EXIT_OK
 
 
 def cmd_ground(args) -> tuple[dict, int]:
@@ -363,7 +368,6 @@ def cmd_canonical(args) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     a = Analysis(_load_term(args), args.tol, args.seed)
     n_list = _parse_n_list(args.N)
-    t = TransferMatrices.from_graph(a.graph)
     all_ok = True
     rows = []
     for n in n_list:
@@ -374,8 +378,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             sys.stderr.write(f"N={n}: d^N = {a.p.d**n} exceeds ed cap {args.ed_cap} -> SKIPPED\n")
             continue
         spec = integer_spectrum(build_chain(a.p, n, cap=args.ed_cap))
-        census = spectral_census(t, n)
-        deg = degeneracy(t, n)
+        census = spectral_census(a.graph, n)
+        deg = degeneracy(a.graph, n)
         ed_deg = spec.get(0, 0)
         census_ok = {k: v for k, v in census.dims.items() if v} == spec
         deg_ok = deg == ed_deg
@@ -424,7 +428,7 @@ def _solve_x(args) -> dict:
 
 def _commutify(args) -> dict:
     doc = _read_doc(args.input)
-    h = _term(doc["h"], args.tol)
+    h = _term(_key(doc, "h", "commutify input"), args.tol)
     xc = doc.get("x_candidate", doc)
     if not isinstance(xc, dict) or "X" not in xc or xc.get("status") == "not_found":
         raise CommchainError("no X candidate in input document")
@@ -583,7 +587,6 @@ _EXIT_CODES = {
     CommchainError: EXIT_FAILURE,
     OSError: EXIT_FAILURE,
     ValueError: EXIT_FAILURE,
-    KeyError: EXIT_FAILURE,
 }
 
 

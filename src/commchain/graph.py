@@ -40,10 +40,13 @@ class BondFactor:
 
 @dataclass
 class InteractionGraph:
-    num_vertices: int
     M: np.ndarray  # kernel dimensions, dtype int
     R: np.ndarray  # ranks, dtype int
     block_dims: list[tuple[int, int]]
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.M)
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +116,7 @@ def reconstruct_term(dec: SiteDecomposition, bonds: list[list[BondFactor]]) -> n
 def build_graph(dec: SiteDecomposition, bonds: list[list[BondFactor]]) -> InteractionGraph:
     m = np.array([[bf.kernel_dim for bf in row] for row in bonds], dtype=int)
     r = np.array([[bf.q.shape[0] for bf in row] for row in bonds], dtype=int) - m
-    return InteractionGraph(num_vertices=len(bonds), M=m, R=r, block_dims=dec.block_dims)
+    return InteractionGraph(M=m, R=r, block_dims=dec.block_dims)
 
 
 def export_dot(g: InteractionGraph) -> str:

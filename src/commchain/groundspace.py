@@ -1,20 +1,22 @@
 """Everything the interaction graph says about the spectrum.
 
-Ground-state degeneracy of the length-N chain is the trace of the N-th
-power of the integer kernel-dimension matrix M, computed exactly in big
-integers.  The full energy census comes from the same transfer structure:
-the dimension of the energy-k eigenspace is the x^k coefficient of
-Tr((M + x R)^N), since the bond projectors in a fixed block sector act on
-disjoint tensor slots and admit a simultaneous eigenbasis labelled by
-per-bond outcomes.  The census is exact and multimodular: the polynomial
-is evaluated at roots of unity modulo 31-bit NTT primes in uint64, with
-products of residues summed unreduced four at a time (delayed reduction,
-as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
-transformed back and rebuilt by CRT.  It is bounded in N: past
-``MAX_CENSUS_ENTRIES`` evaluation entries or ``MAX_GARNER_STEPS`` CRT
-steps (fig2: N > 2047, ising: N > 6208) it raises ``TooLarge``.  Both
-quantities are validated against the exact-diagonalization oracle in the
-test suite.
+Degeneracy, census and their size checks read the integer transfer
+matrices M (kernel dimensions) and R (ranks) off the
+``InteractionGraph``; only ``_mat_pow`` turns their entries into Python
+ints.  Ground-state degeneracy of the length-N chain is the trace of the
+N-th power of M, computed exactly in big integers.  The full energy
+census comes from the same transfer structure: the dimension of the
+energy-k eigenspace is the x^k coefficient of Tr((M + x R)^N), since the
+bond projectors in a fixed block sector act on disjoint tensor slots and
+admit a simultaneous eigenbasis labelled by per-bond outcomes.  The
+census is exact and multimodular: the polynomial is evaluated at roots
+of unity modulo 31-bit NTT primes in uint64, with products of residues
+summed unreduced four at a time (delayed reduction, as in FFLAS-FFPACK:
+Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008), transformed back and
+rebuilt by CRT.  It is bounded in N: past ``MAX_CENSUS_ENTRIES``
+evaluation entries or ``MAX_GARNER_STEPS`` CRT steps (fig2: N > 2047,
+ising: N > 6208) it raises ``TooLarge``.  Both quantities are validated
+against the exact-diagonalization oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ _UNREDUCED_PRODUCTS = 4
 _NTT_PRIMES: dict[int, list[int]] = {}
 
 __all__ = [
-    "TransferMatrices",
     "ScaleInvarianceVerdict",
     "Witness",
     "GroundLoopState",
@@ -69,23 +70,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class TransferMatrices:
-    """Integer kernel-dimension and rank matrices of the bond projectors."""
-
-    M: list[list[int]]
-    R: list[list[int]]
-
-    @classmethod
-    def from_graph(cls, g: InteractionGraph) -> "TransferMatrices":
-        return cls(M=[[int(x) for x in row] for row in g.M],
-                   R=[[int(x) for x in row] for row in g.R])
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.M)
-
-
 def _mat_mul(a, b):
     n = len(a)
     return [
@@ -95,14 +79,17 @@ def _mat_mul(a, b):
 
 
 def _mat_pow(m, n: int, ceiling: int | None = None):
-    """M^n; with ``ceiling``, every entry of every product is cut to at most ``ceiling``."""
+    """M^n in Python ints, so no entry overflows.
+
+    With ``ceiling``, every entry of every product is cut to at most ``ceiling``.
+    """
 
     def cut(a):
         return a if ceiling is None else [[min(x, ceiling) for x in row] for row in a]
 
     size = len(m)
     result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [row[:] for row in m]
+    base = [[int(x) for x in row] for row in m]
     while n > 0:
         if n & 1:
             result = cut(_mat_mul(result, base))
@@ -112,22 +99,22 @@ def _mat_pow(m, n: int, ceiling: int | None = None):
     return result
 
 
-def degeneracy(t: TransferMatrices, n: int) -> int:
+def degeneracy(g: InteractionGraph, n: int) -> int:
     """dim ker H_N = Tr(M^N), exact in arbitrary precision."""
     if n < 1:
         raise ValueError("chain length must be at least 1")
-    p = _mat_pow(t.M, n)
+    p = _mat_pow(g.M, n)
     return sum(p[i][i] for i in range(len(p)))
 
 
-def _capped_degeneracy(t: TransferMatrices, n: int, ceiling: int) -> int:
+def _capped_degeneracy(g: InteractionGraph, n: int, ceiling: int) -> int:
     """min(Tr(M^N), ceiling), with no integer past ceiling^2 times the vertex count.
 
     M is nonnegative, so cutting every entry of every partial product at
     ``ceiling`` leaves the entries below it exact: a cut factor times a
     nonzero one is at least ``ceiling`` either way.
     """
-    p = _mat_pow(t.M, n, ceiling)
+    p = _mat_pow(g.M, n, ceiling)
     return min(sum(p[i][i] for i in range(len(p))), ceiling)
 
 
@@ -233,9 +220,8 @@ def check_scale_invariance(g: InteractionGraph) -> ScaleInvarianceVerdict:
     """Scale invariance holds iff every cycle is a weight-1 self-loop.
 
     Equivalently: the digraph with self-loops removed is acyclic and every
-    self-loop has kernel dimension exactly 1.  When the verdict is
-    positive, the constancy of the degeneracy is re-checked against the
-    transfer matrix for chain lengths up to twice the vertex count.
+    self-loop has kernel dimension exactly 1.  Then a closed walk never
+    leaves its start vertex, so Tr(M^N) is the loop count at every N.
     """
     loops = [a for a in range(g.num_vertices) if g.M[a, a] > 0]
     for a in loops:
@@ -250,12 +236,6 @@ def check_scale_invariance(g: InteractionGraph) -> ScaleInvarianceVerdict:
         return ScaleInvarianceVerdict(
             scale_invariant=False, loops=loops, witness=Witness(kind="cycle", vertices=cycle)
         )
-    t = TransferMatrices.from_graph(g)
-    for n in range(1, 2 * g.num_vertices + 1):
-        if degeneracy(t, n) != len(loops):
-            raise AssertionError(
-                "scale-invariance criterion disagrees with the transfer matrix"
-            )
     return ScaleInvarianceVerdict(scale_invariant=True, loops=loops, witness=None)
 
 
@@ -342,8 +322,7 @@ def check_ground_size(analysis, ns: list[int], cap: int = DEFAULT_STATE_CAP) -> 
     if analysis.verdict.scale_invariant:
         counts = [len(analysis.verdict.loops)] * len(ns)
     else:
-        t = TransferMatrices.from_graph(analysis.graph)
-        counts = [_capped_degeneracy(t, n, cap) for n in ns]
+        counts = [_capped_degeneracy(analysis.graph, n, cap) for n in ns]
     entries = sum(count * n for count, n in zip(counts, ns)) * analysis.dec.d**2
     if entries > MAX_GROUND_ENTRIES:
         where = f"N={ns[0]}" if len(ns) == 1 else f"{len(ns)} lengths up to N={max(ns)}"
@@ -539,8 +518,8 @@ def _census_residues(m, r, n: int, p: int, size: int) -> np.ndarray:
         np.multiply(pw[:filled], pow(w, filled, p), out=seg)
         _reduce(seg, p)
         filled *= 2
-    mp = np.array([[x % p for x in row] for row in m], dtype=np.uint64).reshape(nv, nv)
-    rp = np.array([[x % p for x in row] for row in r], dtype=np.uint64).reshape(nv, nv)
+    mp = (np.asarray(m) % p).astype(np.uint64).reshape(nv, nv)
+    rp = (np.asarray(r) % p).astype(np.uint64).reshape(nv, nv)
     traces = np.empty(size, dtype=np.int64)
     step = max(1, _CENSUS_SLAB // max(1, nv * nv))
     for lo in range(0, size, step):
@@ -592,15 +571,15 @@ def _garner(residues: np.ndarray, primes: list[int]) -> list[int]:
     return [int(v) for v in value]
 
 
-def check_census_size(t: TransferMatrices, ns: list[int]) -> None:
+def check_census_size(g: InteractionGraph, ns: list[int]) -> None:
     """Raise ``TooLarge`` at the first N in ``ns`` whose census is past a bound.
 
     The census at N evaluates primes x L x nv^2 entries and rebuilds N + 1
     coefficients in primes^2 x (N + 1) Garner steps (see
     ``spectral_census``); nothing is evaluated here.
     """
-    nv = t.num_vertices
-    rho = max((sum(m) + sum(r) for m, r in zip(t.M, t.R)), default=0)
+    nv = g.num_vertices
+    rho = int((g.M + g.R).sum(axis=1).max(initial=0))
     for n in ns:
         size = 1 << n.bit_length()  # least power of two >= n + 1
         bits = (math.log2(nv) + n * math.log2(rho)) if rho > 0 else 0.0
@@ -616,7 +595,7 @@ def check_census_size(t: TransferMatrices, ns: list[int]) -> None:
                 )
 
 
-def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
+def spectral_census(g: InteractionGraph, n: int) -> SpectralCensus:
     """Energy census dims[k] = [x^k] Tr((M + x R)^N), exact integers.
 
     Multimodular: M + xR is evaluated at the L powers of an L-th root of
@@ -638,18 +617,16 @@ def spectral_census(t: TransferMatrices, n: int) -> SpectralCensus:
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
-    check_census_size(t, [n])
-    nv = t.num_vertices
+    check_census_size(g, [n])
     size = 1 << n.bit_length()  # least power of two >= n + 1
-    s = [[t.M[a][b] + t.R[a][b] for b in range(nv)] for a in range(nv)]
-    total = sum(row[i] for i, row in enumerate(_mat_pow(s, n)))
+    total = sum(row[i] for i, row in enumerate(_mat_pow(g.M + g.R, n)))
     primes: list[int] = []
     product = 1
     k = size.bit_length() - 1
     while product <= total or not primes:
         primes = _ntt_primes(k, len(primes) + 1)
         product *= primes[-1]
-    residues = np.stack([_census_residues(t.M, t.R, n, p, size) for p in primes])
+    residues = np.stack([_census_residues(g.M, g.R, n, p, size) for p in primes])
     coeffs = _garner(residues, primes)
     if sum(coeffs) != total:
         raise AssertionError("census coefficients do not sum to Tr((M + R)^N)")

@@ -54,7 +54,7 @@ def builtin(name: str) -> ProjectorTerm:
     m = re.fullmatch(r"zero(?:\((\d+)\))?", name)
     if m:
         return zero(int(m.group(1)) if m.group(1) else 2)
-    raise KeyError(f"unknown builtin model {name!r} (try ising, fig2, zero(d))")
+    raise ValueError(f"unknown builtin model {name!r} (try ising, fig2, zero(d))")
 
 
 def synthesize_local_term(

@@ -82,11 +82,12 @@ class LocalTerm:
     @classmethod
     def symmetrized(cls, d: int, op: np.ndarray, tol: float = DEFAULT_TOL) -> "LocalTerm":
         """Build a term, absorbing hermiticity defects up to ``tol``."""
-        op = np.asarray(op, dtype=complex)
-        defect = la.hermiticity_defect(op)
+        term = cls(d, op)  # shape and finiteness first, so the defect is finite
+        defect = la.hermiticity_defect(term.op)
         if defect > tol:
             raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-        return cls(d, (op + la.dag(op)) / 2.0)
+        term.op = (term.op + la.dag(term.op)) / 2.0
+        return term
 
     def to_dict(self) -> dict:
         return {"d": self.d, "matrix": self.op}

@@ -37,7 +37,8 @@ from commchain import models
 from commchain.canonical import Analysis
 from commchain.decomposition import OperatorAlgebra
 from commchain.ed import _translation_orbits
-from commchain.groundspace import SpectralCensus, TransferMatrices
+from commchain.graph import InteractionGraph
+from commchain.groundspace import SpectralCensus
 from commchain.operators import ProjectorTerm
 
 
@@ -106,15 +107,25 @@ def _poly_add(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def bigint_census(t: TransferMatrices, n: int) -> SpectralCensus:
+def graph_of(M, R=None) -> InteractionGraph:
+    """The interaction graph of bare integer matrices M and R (R = 0 when omitted).
+
+    No blocks stand behind such a graph; every vertex gets block dims (1, 1).
+    """
+    m = np.array(M, dtype=int).reshape(len(M), len(M))
+    r = np.zeros_like(m) if R is None else np.array(R, dtype=int).reshape(m.shape)
+    return InteractionGraph(M=m, R=r, block_dims=[(1, 1)] * len(m))
+
+
+def bigint_census(g: InteractionGraph, n: int) -> SpectralCensus:
     """Reference census: N sequential big-integer polynomial-matrix products.
 
     dims[k] = [x^k] Tr((M + x R)^N), O(nv^3 N^2) Python operations.
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
-    nv = t.num_vertices
-    base = [[[t.M[a][b], t.R[a][b]] for b in range(nv)] for a in range(nv)]
+    nv = g.num_vertices
+    base = [[[int(g.M[a, b]), int(g.R[a, b])] for b in range(nv)] for a in range(nv)]
     power = [[[1] if a == b else [0] for b in range(nv)] for a in range(nv)]
     for _ in range(n):
         new = [[[0] for _ in range(nv)] for _ in range(nv)]

@@ -26,7 +26,6 @@ from commchain.ed import (
 )
 from commchain.graph import reconstruct_term
 from commchain.groundspace import (
-    TransferMatrices,
     check_scale_invariance,
     degeneracy,
     enumerate_cycles,
@@ -64,10 +63,9 @@ def test_criterion_1_ising_end_to_end(tmp_path):
 
     ising = models.ising()
     _, _, _, g = full_pipeline(ising)
-    t = TransferMatrices.from_graph(g)
     for n in range(2, 9):
         ed_dim, _ = kernel_dim(build_chain(ising, n))
-        assert degeneracy(t, n) == ed_dim == 2
+        assert degeneracy(g, n) == ed_dim == 2
     dt = time.monotonic() - t0
     assert dt < 1.0, f"criterion 1 took {dt:.2f}s"
     print(f"\nACCEPTANCE 1 (Ising end-to-end, N=2..8): PASS in {dt:.2f}s")
@@ -86,11 +84,10 @@ def test_criterion_2_fig2():
     verdict = check_scale_invariance(g)
     assert not verdict.scale_invariant
     assert verdict.witness.kind == "cycle" and len(verdict.witness.vertices) >= 2
-    t = TransferMatrices.from_graph(g)
     expected = {2: 4, 3: 8, 4: 16, 5: 32}
     for n in range(2, 6):
         spec = _ed_census(fig2, n)
-        assert degeneracy(t, n) == spec.get(0, 0) == expected[n]
+        assert degeneracy(g, n) == spec.get(0, 0) == expected[n]
     dt = time.monotonic() - t0
     assert dt < 10.0, f"criterion 2 took {dt:.2f}s"
     print(f"\nACCEPTANCE 2 (fig2 blocks/cycle/witness, N=2..5): PASS in {dt:.2f}s")
@@ -109,13 +106,12 @@ def test_criterion_3_census_oracle_equivalence(acceptance_corpus):
     checked = 0
     for name, term in builtins + corpus:
         _, _, _, g = full_pipeline(term)
-        t = TransferMatrices.from_graph(g)
         for n in range(2, _max_n(term.d) + 1):
-            census = {k: v for k, v in spectral_census(t, n).dims.items() if v}
+            census = {k: v for k, v in spectral_census(g, n).dims.items() if v}
             ed = _ed_census(term, n)
             assert census == ed, f"{name} N={n}: census {census} != ED {ed}"
             if name == "ising":
-                assert spectral_census(t, n).dims[1] == 0
+                assert spectral_census(g, n).dims[1] == 0
             checked += 1
     dt = time.monotonic() - t0
     assert dt < 300.0, f"criterion 3 took {dt:.1f}s"

@@ -19,7 +19,7 @@ from commchain.canonical import (
 from commchain.decomposition import Block, SiteDecomposition
 from commchain.ed import build_chain, kernel_dim, same_subspace
 from commchain.errors import CommchainError, InvalidK, NotScaleInvariant, TooLarge
-from commchain.groundspace import TransferMatrices, check_scale_invariance, degeneracy, loop_states
+from commchain.groundspace import check_scale_invariance, degeneracy, loop_states
 from commchain.operators import LocalTerm, check_commuting, operator_schmidt
 
 from conftest import full_pipeline
@@ -219,9 +219,8 @@ def test_conjugation_preserves_commutativity_and_graph(small_corpus):
         for st in loop_states(bonds_conj):
             assert abs(abs(st.phi[0]) - 1.0) < 1e-8
         # ground degeneracy is untouched for every chain length
-        t, t2 = TransferMatrices.from_graph(g), TransferMatrices.from_graph(g_conj)
-        assert [degeneracy(t, n) for n in range(1, 7)] == [
-            degeneracy(t2, n) for n in range(1, 7)
+        assert [degeneracy(g, n) for n in range(1, 7)] == [
+            degeneracy(g_conj, n) for n in range(1, 7)
         ]
         done += 1
     assert done >= 2

@@ -15,32 +15,31 @@ import pytest
 
 from commchain import groundspace, models
 from commchain.errors import TooLarge
-from commchain.groundspace import TransferMatrices, degeneracy, spectral_census
+from commchain.graph import InteractionGraph
+from commchain.groundspace import degeneracy, spectral_census
 
-from conftest import bigint_census, full_pipeline, reference_census_residues
+from conftest import bigint_census, full_pipeline, graph_of, reference_census_residues
 
 SMALL_N = (1, 2, 3, 7, 8, 15, 16, 31, 32)
 
 
-def _random_matrices(nv: int, seed: int) -> TransferMatrices:
+def _random_graph(nv: int, seed: int) -> InteractionGraph:
     rng = random.Random(seed)
     m, r = ([[rng.randint(0, 81) for _ in range(nv)] for _ in range(nv)] for _ in range(2))
-    return TransferMatrices(M=m, R=r)
+    return graph_of(m, r)
 
 
-def _census_at(t: TransferMatrices, n: int, x: int) -> int:
+def _census_at(g: InteractionGraph, n: int, x: int) -> int:
     """Exact Tr((M + xR)^n) by big-integer matrix powering."""
-    nv = t.num_vertices
-    a = [[t.M[i][j] + x * t.R[i][j] for j in range(nv)] for i in range(nv)]
-    p = groundspace._mat_pow(a, n)
-    return sum(p[i][i] for i in range(nv))
+    p = groundspace._mat_pow(g.M + x * g.R, n)
+    return sum(p[i][i] for i in range(g.num_vertices))
 
 
 @pytest.mark.parametrize("n", SMALL_N)
 @pytest.mark.parametrize("nv", range(1, 7))
 def test_matches_bigint_small_n(nv, n):
-    t = _random_matrices(nv, 1000 * nv + n)
-    assert spectral_census(t, n).dims == bigint_census(t, n).dims
+    g = _random_graph(nv, 1000 * nv + n)
+    assert spectral_census(g, n).dims == bigint_census(g, n).dims
 
 
 @pytest.mark.parametrize(
@@ -48,33 +47,31 @@ def test_matches_bigint_small_n(nv, n):
     [(nv, n) for n in (63, 64, 127, 128) for nv in (1, 2, 3)] + [(1, 200), (2, 200), (6, 64)],
 )
 def test_matches_bigint_large_n(nv, n):
-    t = _random_matrices(nv, 1000 * nv + n)
-    assert spectral_census(t, n).dims == bigint_census(t, n).dims
+    g = _random_graph(nv, 1000 * nv + n)
+    assert spectral_census(g, n).dims == bigint_census(g, n).dims
 
 
 @pytest.mark.parametrize("n", SMALL_N + (64, 200))
 def test_zero_and_single_vertex_graphs(n):
-    cases = [TransferMatrices(M=[[0] * nv for _ in range(nv)], R=[[0] * nv for _ in range(nv)])
-             for nv in (0, 1, 2, 4)]
-    cases += [TransferMatrices(M=[[a]], R=[[b]]) for a in (0, 1, 2, 81) for b in (0, 1, 3, 81)]
-    for t in cases:
-        assert spectral_census(t, n).dims == bigint_census(t, n).dims
+    cases = [graph_of([[0] * nv for _ in range(nv)]) for nv in (0, 1, 2, 4)]
+    cases += [graph_of([[a]], [[b]]) for a in (0, 1, 2, 81) for b in (0, 1, 3, 81)]
+    for g in cases:
+        assert spectral_census(g, n).dims == bigint_census(g, n).dims
 
 
 @pytest.mark.parametrize("name, n", [("fig2", 300), ("ising", 1000)])
 def test_large_n_against_exact_evaluations(name, n):
     p, _, _, g = full_pipeline(models.builtin(name))
-    t = TransferMatrices.from_graph(g)
-    dims = spectral_census(t, n).dims
+    dims = spectral_census(g, n).dims
     assert sorted(dims) == list(range(n + 1))
     assert sum(dims.values()) == p.d**n
-    assert dims[0] == degeneracy(t, n)
+    assert dims[0] == degeneracy(g, n)
     for x in (-1, 2):
-        assert sum(c * x**k for k, c in dims.items()) == _census_at(t, n, x)
+        assert sum(c * x**k for k, c in dims.items()) == _census_at(g, n, x)
 
 
 def test_prime_table():
-    fig2 = TransferMatrices.from_graph(full_pipeline(models.fig2())[3])
+    fig2 = full_pipeline(models.fig2())[3]
     for n in (1, 5, 300):
         spectral_census(fig2, n)
     assert groundspace._NTT_PRIMES
@@ -109,13 +106,13 @@ def test_bound_raises_before_any_evaluation(monkeypatch):
 
     monkeypatch.setattr(groundspace, "_mat_pow", forbidden)
     monkeypatch.setattr(groundspace, "_census_residues", forbidden)
-    fig2 = TransferMatrices(M=[[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]],
-                            R=[[0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
+    fig2 = graph_of([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]],
+                    [[0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
     for n in (2048, 10**6, 10**12):
         with pytest.raises(TooLarge):
             spectral_census(fig2, n)
     with pytest.raises(TooLarge):
-        spectral_census(TransferMatrices(M=[[1]], R=[[0]]), groundspace.MAX_CENSUS_ENTRIES)
+        spectral_census(graph_of([[1]]), groundspace.MAX_CENSUS_ENTRIES)
 
 
 def test_garner_bound_raises_before_any_evaluation(monkeypatch):
@@ -127,7 +124,7 @@ def test_garner_bound_raises_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(groundspace, "_mat_pow", forbidden)
     monkeypatch.setattr(groundspace, "_census_residues", forbidden)
     with pytest.raises(TooLarge, match="Garner"):
-        spectral_census(TransferMatrices(M=[[2]], R=[[2]]), 8191)
+        spectral_census(graph_of([[2]], [[2]]), 8191)
 
 
 def test_bound_admits_its_documented_sizes(monkeypatch):
@@ -138,22 +135,22 @@ def test_bound_admits_its_documented_sizes(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(groundspace, "_census_residues", reached)
-    fig2 = TransferMatrices.from_graph(full_pipeline(models.fig2())[3])
-    ising = TransferMatrices.from_graph(full_pipeline(models.ising())[3])
-    two = TransferMatrices(M=[[2]], R=[[2]])
-    for t, n in ((fig2, 2047), (ising, 6208), (two, 3914)):
+    fig2 = full_pipeline(models.fig2())[3]
+    ising = full_pipeline(models.ising())[3]
+    two = graph_of([[2]], [[2]])
+    for g, n in ((fig2, 2047), (ising, 6208), (two, 3914)):
         with pytest.raises(Reached):
-            spectral_census(t, n)
-    for t, n in ((fig2, 2048), (ising, 6209), (two, 3915)):
+            spectral_census(g, n)
+    for g, n in ((fig2, 2048), (ising, 6209), (two, 3915)):
         with pytest.raises(TooLarge):
-            spectral_census(t, n)
+            spectral_census(g, n)
 
 
 def test_sum_self_check_raises(monkeypatch):
     real = groundspace._garner
     monkeypatch.setattr(groundspace, "_garner", lambda r, p: [c + 1 for c in real(r, p)])
     with pytest.raises(AssertionError, match="sum"):
-        spectral_census(TransferMatrices(M=[[1, 0], [0, 1]], R=[[0, 1], [1, 0]]), 5)
+        spectral_census(graph_of([[1, 0], [0, 1]], [[0, 1], [1, 0]]), 5)
 
 
 def test_residues_equal_the_per_product_reference(monkeypatch):
@@ -174,16 +171,16 @@ def test_residues_equal_the_per_product_reference(monkeypatch):
     for nv in range(1, 10):
         for n in (1, 2, 3, 5, 8, 31, 300):
             m, r = ([[rng.randint(0, 2) for _ in range(nv)] for _ in range(nv)] for _ in range(2))
-            spectral_census(TransferMatrices(M=m, R=r), n)
+            spectral_census(graph_of(m, r), n)
     assert len(seen) > 300, len(seen)
 
 
 def test_fig2_residues_equal_the_per_product_reference_at_the_bound():
-    t = TransferMatrices.from_graph(full_pipeline(models.fig2())[3])
+    g = full_pipeline(models.fig2())[3]
     n, size = 2047, 4096
     for p in groundspace._ntt_primes(12, 3):
-        out = groundspace._census_residues(t.M, t.R, n, p, size)
-        assert np.array_equal(out, reference_census_residues(t.M, t.R, n, p, size)), p
+        out = groundspace._census_residues(g.M, g.R, n, p, size)
+        assert np.array_equal(out, reference_census_residues(g.M, g.R, n, p, size)), p
 
 
 @pytest.mark.parametrize("nv", range(1, 10))

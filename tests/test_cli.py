@@ -8,6 +8,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import pytest
 import commchain as cc
 from commchain import cli, decomposition, ed, groundspace, models, operators
 from commchain.cli import main
-from commchain.groundspace import TransferMatrices, degeneracy
+from commchain.groundspace import degeneracy
 
-from conftest import pairs_list
+from conftest import graph_of, pairs_list
 
 
 def run_cli(capsys, argv):
@@ -161,10 +162,10 @@ def test_degeneracy_estimate_tracks_the_exact_value():
     fig2_m = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]]
     # fig2, a nilpotent edge, one heavy loop, a transient edge, mixed weights
     for m in (fig2_m, [[0, 1], [0, 0]], [[3]], [[1, 0], [2, 1]], [[81, 0], [0, 2]]):
-        t = TransferMatrices(M=m, R=[[0] * len(m)] * len(m))
+        g = graph_of(m)
         for n in (1, 2, 7, 64, 1001):
-            exact = degeneracy(t, n)
-            estimate = cli._log10_degeneracy(m, n)
+            exact = degeneracy(g, n)
+            estimate = cli._log10_degeneracy(g.M, n)
             if exact == 0:
                 assert estimate == -math.inf
             else:
@@ -301,6 +302,65 @@ def test_malformed_matrix_is_a_json_error(tmp_path, capsys):
         code, out = run_cli(capsys, ["analyze", "--input", str(path)])
         assert code == 1
         assert "[re, im]" in json.loads(out)["error"]
+
+
+def test_term_shape_and_finiteness_are_checked_before_hermiticity(tmp_path, capsys):
+    # Checked before the hermiticity defect: an Infinity entry makes the
+    # defect NaN, which passes a `> tol` gate with numpy RuntimeWarnings, and
+    # a 4x3 matrix fails in numpy's broadcast.
+    infinite = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    infinite[0][0] = [math.inf, 0.0]
+    cases = [
+        (infinite, "operator entries must be finite"),
+        ([[[0.0, 0.0]] * 3] * 4, "operator must be 4x4 for site dimension 2"),
+    ]
+    path = tmp_path / "term.json"
+    for matrix, message in cases:
+        path.write_text(json.dumps({"d": 2, "matrix": matrix}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and json.loads(captured.out)["error"] == message
+        assert captured.err == "" and caught == []
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["analyze", "--input"], f'{{"matrix": {_ISING_MATRIX}}}', "local term has no 'd' key"),
+        (["analyze", "--input"], '{"d": 2}', "local term has no 'matrix' key"),
+        (
+            ["bridge", "commutify", "--input"],
+            '{"x_candidate": {"X": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}',
+            "commutify input has no 'h' key",
+        ),
+        (["bridge", "polar-normalize", "--input"], '{"chi": 2}', "S-matrix document has no 'S' key"),
+        (
+            ["analyze", "--model", "foo"],
+            None,
+            "unknown builtin model 'foo' (try ising, fig2, zero(d))",
+        ),
+    ],
+    ids=["d", "matrix", "h", "S", "model"],
+)
+def test_errors_name_the_missing_key_or_model(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out = run_cli(capsys, argv)
+    assert code == 1 and json.loads(out)["error"] == message
+
+
+def test_commutify_refuses_an_x_of_the_wrong_shape(tmp_path, capsys):
+    ising = models.builtin("ising").to_dict()
+    path = tmp_path / "x.json"
+    for x in (np.eye(3), np.ones((1, 2))):
+        path.write_text(cli._dumps({"h": ising, "x_candidate": {"X": x}}))
+        code, out = run_cli(capsys, ["bridge", "commutify", "--input", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"] == f"X has shape {x.shape}, not (2, 2) for site dimension 2"
 
 
 def test_ground_states_ising(capsys):

@@ -36,7 +36,7 @@ from commchain._linalg import haar_unitary
 from commchain.canonical import Analysis, classify_phase
 from commchain.cli import main
 from commchain.errors import NotCommuting
-from commchain.groundspace import TransferMatrices, spectral_census
+from commchain.groundspace import spectral_census
 from commchain.operators import (
     DEFAULT_TOL,
     LocalTerm,
@@ -45,7 +45,7 @@ from commchain.operators import (
     operator_schmidt,
 )
 
-from conftest import full_pipeline
+from conftest import full_pipeline, graph_of
 
 SETTINGS = settings(max_examples=8, derandomize=True, deadline=None, database=None)
 
@@ -177,10 +177,6 @@ def test_residual_between_tol_and_sqrt_tol_is_refused_by_the_gate(monkeypatch, t
     assert tol < exc.value.residual <= np.sqrt(tol)
 
 
-def _transfer(term) -> TransferMatrices:
-    return TransferMatrices.from_graph(full_pipeline(term)[3])
-
-
 def _relabel(a, perm):
     """P A P^T for the permutation matrix P of ``perm``."""
     return [[a[i][j] for j in perm] for i in perm]
@@ -200,9 +196,9 @@ _matrices = st.integers(1, 5).flatmap(
 @given(mrp=_matrices, n=st.sampled_from([1, 2, 7, 8, 33, 64]))
 def test_census_invariant_under_relabelling_and_transposition(mrp, n):
     m, r, perm = mrp
-    census = spectral_census(TransferMatrices(M=m, R=r), n).dims
-    relabelled = TransferMatrices(M=_relabel(m, perm), R=_relabel(r, perm))
-    transposed = TransferMatrices(M=[list(c) for c in zip(*m)], R=[list(c) for c in zip(*r)])
+    census = spectral_census(graph_of(m, r), n).dims
+    relabelled = graph_of(_relabel(m, perm), _relabel(r, perm))
+    transposed = graph_of([list(c) for c in zip(*m)], [list(c) for c in zip(*r)])
     assert spectral_census(relabelled, n).dims == census
     assert spectral_census(transposed, n).dims == census
 
@@ -211,6 +207,6 @@ def test_census_invariant_under_relabelling_and_transposition(mrp, n):
 @given(index=st.integers(0, 2), seed=st.integers(0, 2**31 - 1))
 def test_census_invariant_under_basis_change(index, seed):
     term = _builtins()[index]
-    before, after = _transfer(term), _transfer(_rotate(term, seed))
+    before, after = full_pipeline(term)[3], full_pipeline(_rotate(term, seed))[3]
     for n in (2, 5, 40):
         assert spectral_census(after, n).dims == spectral_census(before, n).dims

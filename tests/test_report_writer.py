@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commchain import cli, models
-from commchain.groundspace import TransferMatrices, degeneracy, spectral_census
+from commchain.groundspace import degeneracy, spectral_census
 
 from conftest import full_pipeline, pairs_list
 
@@ -124,10 +124,10 @@ def test_int_dicts_are_written_as_json_dumps_writes_them():
     # mixed, non-str keys.
     docs = []
     for name, n in (("fig2", 2047), ("ising", 6208)):
-        t = TransferMatrices.from_graph(full_pipeline(models.builtin(name))[3])
-        census = {str(n): spectral_census(t, n).to_dict()}
+        g = full_pipeline(models.builtin(name))[3]
+        census = {str(n): spectral_census(g, n).to_dict()}
         docs.append({"census": census, "seed": 0, "tol": 1e-9})
-        docs.append({"degeneracy": {str(k): degeneracy(t, k) for k in (1, 2, n)}, "seed": 0})
+        docs.append({"degeneracy": {str(k): degeneracy(g, k) for k in (1, 2, n)}, "seed": 0})
     docs += [
         {"dims": {}},
         {"dims": {"0": True, "1": False}},
